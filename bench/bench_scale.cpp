@@ -15,12 +15,10 @@
 //
 // The fan stage carries the task count. It is a pure-shuffle consumer,
 // so every decision exercises the NO_PREF fast path plus the free-slot
-// executor index — the hot path this PR rebuilt — rather than the
-// locality memo (whose per-stage table is capped; see
-// LocalityCache::kMaxMemoSlots). Keeping the shuffle *parent* at 32
-// partitions matters: JobDag::task_inputs enumerates every parent
-// partition per consumer task, so a wide parent would turn input
-// assembly itself into the bottleneck being measured.
+// executor index rather than the per-task locality scan. Keeping the
+// shuffle *parent* at 32 partitions matters: JobDag::task_inputs
+// enumerates every parent partition per consumer task, so a wide parent
+// would turn input assembly itself into the bottleneck being measured.
 //
 // Each point runs in a forked child process and pipes its result back,
 // so every "peak RSS" is that point's own high-water mark. (ru_maxrss
@@ -101,7 +99,6 @@ SimConfig make_scale_config(const ScalePoint& p) {
   config.topology.cores_per_executor = Cpus{4};
   config.topology.cache_bytes_per_executor = 256 * kMiB;
   config.prefetch_enabled = false;
-  config.incremental_scheduling = true;
   return config;
 }
 
@@ -241,7 +238,6 @@ int main(int argc, char** argv) {
        << "  \"workload\": \"src(32 HDFS parts) ->narrow prep(32) "
           "->shuffle fan(N, zero-output)\",\n"
        << "  \"prefetch_enabled\": false,\n"
-       << "  \"incremental_scheduling\": true,\n"
        << "  \"peak_rss_note\": \""
        << (g_forked_rss
                ? "each point ran in its own forked child process, so "

@@ -222,7 +222,6 @@ void BlockManagerMaster::apply_insert(
     auto& holders = memory_copies_[o];
     if (std::find(holders.begin(), holders.end(), exec) == holders.end()) {
       holders.push_back(exec);
-      ++placement_version_;
     }
     // First holder promotes the block to Memory (from Materializing on
     // the produce path, Disk on a read-admit, Evicted on a re-admit).
@@ -251,7 +250,6 @@ void BlockManagerMaster::note_evicted(const BlockId& block, ExecutorId exec) {
   if (holders.empty()) return;
   holders.erase(std::remove(holders.begin(), holders.end(), exec),
                 holders.end());
-  ++placement_version_;
   if (holders.empty()) {
     // Last memory copy gone; the durable disk copy keeps the block
     // recoverable (eviction is always safe, DESIGN.md §4).
@@ -280,7 +278,6 @@ void BlockManagerMaster::on_block_produced(const BlockId& block,
     disks.push_back(node);
     if (was_pf) index_prefetchable(o);
     disk_union_valid_[o] = 0;
-    ++placement_version_;
   }
   // Lifecycle: Absent → Materializing on first production, Lost →
   // Materializing on a lineage recompute; apply_insert (or the
@@ -398,7 +395,7 @@ BlockManagerMaster::DropResult BlockManagerMaster::drop_executor(
   DropResult result;
 
   // 1. Destroy the executor's memory store (ascending block id for
-  // deterministic placement_version / prefetchable churn).
+  // deterministic prefetchable-index churn).
   BlockManager& mgr = manager(exec);
   std::vector<BlockId> mem_blocks;
   mem_blocks.reserve(mgr.num_blocks());
@@ -445,7 +442,6 @@ BlockManagerMaster::DropResult BlockManagerMaster::drop_executor(
     if (was_pf) unindex_prefetchable(o);
     disks = std::move(nodes);
     disk_union_valid_[o] = 0;
-    ++placement_version_;
 
     if (!disks.empty() ||
         !hdfs_->replicas_by_ord(static_cast<std::int64_t>(o)).empty()) {
@@ -461,7 +457,6 @@ BlockManagerMaster::DropResult BlockManagerMaster::drop_executor(
       producers.push_back(holder);
       disks.push_back(topo_->node_of(holder));
       disk_union_valid_[o] = 0;
-      ++placement_version_;
       ++result.rereplicated;
       if (was_pf) index_prefetchable(o);
     } else {
@@ -486,12 +481,7 @@ bool BlockManagerMaster::drop_memory_block(const BlockId& block,
 
 void BlockManagerMaster::set_executor_suspect(ExecutorId exec, bool suspect) {
   auto& flag = suspect_[static_cast<std::size_t>(exec.value())];
-  const char value = suspect ? 1 : 0;
-  if (flag == value) return;
-  flag = value;
-  // No block moved, but locality answers derived from this executor's
-  // memory copies just changed — invalidate the memos.
-  ++placement_version_;
+  flag = suspect ? 1 : 0;
 }
 
 bool BlockManagerMaster::any_healthy_memory_holder(
@@ -509,7 +499,7 @@ BlockManagerMaster::rereplicate_suspect_blocks(ExecutorId target) {
 
   // At-risk = every produced-disk attribution on a suspect executor, no
   // HDFS replica, and no healthy memory holder. Ascending-ordinal scan
-  // for deterministic placement_version churn.
+  // for deterministic prefetchable-index churn.
   std::vector<std::size_t> at_risk;
   for (std::size_t o = 0; o < produced_by_.size(); ++o) {
     const auto& producers = produced_by_[o];
@@ -547,7 +537,6 @@ BlockManagerMaster::rereplicate_suspect_blocks(ExecutorId target) {
       if (was_pf) index_prefetchable(o);
     }
     disk_union_valid_[o] = 0;
-    ++placement_version_;
     ++result.blocks;
     result.bytes +=
         std::max(block_bytes(dag_->block_at(static_cast<std::int64_t>(o))),

@@ -137,8 +137,7 @@ class BlockManagerMaster {
   /// Marks `exec` suspect (or clears the mark). Suspect executors still
   /// serve reads — a gray-failed executor is reachable, just untrusted —
   /// but their memory copies grant no locality preference, so the
-  /// scheduler stops steering tasks toward them. Bumps
-  /// placement_version() on a change so LocalityCache resyncs.
+  /// scheduler stops steering tasks toward them.
   void set_executor_suspect(ExecutorId exec, bool suspect);
   [[nodiscard]] bool executor_suspect(ExecutorId exec) const {
     return suspect_[static_cast<std::size_t>(exec.value())] != 0;
@@ -177,14 +176,6 @@ class BlockManagerMaster {
     std::int64_t rejected_admissions = 0;
   };
   [[nodiscard]] const Counters& counters() const { return counters_; }
-
-  /// Monotonic counter bumped on every change of block placement
-  /// (memory admit/evict, new durable disk copy). Consumers caching
-  /// placement-derived data (e.g. LocalityCache) compare it to decide
-  /// whether their caches are still valid.
-  [[nodiscard]] std::uint64_t placement_version() const {
-    return placement_version_;
-  }
 
   // -- lifecycle (fsm::StateMachine<BlockResidency>) -----------------------
 
@@ -263,7 +254,6 @@ class BlockManagerMaster {
   std::vector<BlockResidency> residency_;
   fsm::Violations* fsm_violations_ = nullptr;
   Counters counters_;
-  std::uint64_t placement_version_ = 1;
 };
 
 }  // namespace dagon

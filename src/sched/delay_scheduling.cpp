@@ -19,32 +19,12 @@ std::size_t level_index(const std::vector<Locality>& levels, Locality l) {
 
 }  // namespace
 
-Locality DelayPolicy::locality_of(const JobState& state,
-                                  const BlockManagerMaster& master,
-                                  StageId s, std::int32_t index,
-                                  ExecutorId exec) const {
-  if (use_cache_) {
-    return cache_.locality(state.dag(), master, state.topology(), s, index,
-                           exec);
-  }
-  return task_locality_on(state.dag(), master, state.topology(), s, index,
-                          exec);
-}
-
-std::vector<Locality> DelayPolicy::levels_of(
-    const JobState& state, const BlockManagerMaster& master,
-    const StageRuntime& stage) const {
-  if (use_cache_) {
-    return cache_.levels(state.dag(), master, state.topology(), stage);
-  }
-  return valid_locality_levels(state.dag(), master, state.topology(), stage);
-}
-
 Locality DelayPolicy::allowed_locality(JobState& state,
                                        const BlockManagerMaster& master,
                                        StageId s, SimTime now) const {
   StageRuntime& rt = state.stage(s);
-  const std::vector<Locality> levels = levels_of(state, master, rt);
+  const std::vector<Locality> levels =
+      valid_locality_levels(state.dag(), master, rt);
   DAGON_CHECK(!levels.empty());
   // Valid levels can change between calls (cache fills up, tasks drain);
   // clamp the stored ladder position.
@@ -64,7 +44,8 @@ Locality DelayPolicy::allowed_locality(JobState& state,
 void DelayPolicy::on_launch(JobState& state, const BlockManagerMaster& master,
                             StageId s, Locality l, SimTime now) const {
   StageRuntime& rt = state.stage(s);
-  const std::vector<Locality> levels = levels_of(state, master, rt);
+  const std::vector<Locality> levels =
+      valid_locality_levels(state.dag(), master, rt);
   if (levels.empty()) return;
   rt.locality_index = std::min(level_index(levels, l), levels.size() - 1);
   rt.locality_timer = now;
@@ -85,7 +66,8 @@ std::optional<Assignment> DelayPolicy::best_task_on(
   }
   std::optional<Assignment> best;
   for (const std::int32_t index : rt.pending) {
-    const Locality l = locality_of(state, master, s, index, exec);
+    const Locality l = task_locality_on(state.dag(), master,
+                                        state.topology(), s, index, exec);
     if (!best || static_cast<int>(l) < static_cast<int>(best->locality)) {
       best = Assignment{index, exec, l};
       if (l == Locality::Process) break;  // cannot do better

@@ -81,38 +81,15 @@ Locality task_locality_on(const JobDag& dag,
   return best;
 }
 
-namespace {
-
-/// Ladder for stages with narrow deps, with/without a Process rung.
-std::vector<Locality> narrow_levels(bool any_process) {
-  std::vector<Locality> levels;
-  if (any_process) levels.push_back(Locality::Process);
-  levels.push_back(Locality::Node);
-  levels.push_back(Locality::Rack);
-  levels.push_back(Locality::Any);
-  return levels;
-}
-
-bool stage_has_narrow(const Stage& s) {
-  for (const RddRef& ref : s.inputs) {
-    if (ref.kind == DepKind::Narrow) return true;
-  }
-  return false;
-}
-
-}  // namespace
-
 std::vector<Locality> valid_locality_levels(const JobDag& dag,
                                             const BlockManagerMaster& master,
-                                            const Topology& topo,
                                             const StageRuntime& stage) {
-  (void)topo;
   const Stage& s = dag.stage(stage.id);
   // Pure-shuffle stages have no preferred locations at all: every task
   // is NO_PREF. Narrow-dep stages always have at least a disk location
   // for every pending task (the parent block exists by readiness), so
   // none of their tasks is NO_PREF.
-  if (!stage_has_narrow(s)) {
+  if (!stage.has_narrow) {
     return {Locality::NoPref, Locality::Any};
   }
   bool any_process = false;
@@ -126,87 +103,12 @@ std::vector<Locality> valid_locality_levels(const JobDag& dag,
     }
     if (any_process) break;
   }
-  return narrow_levels(any_process);
-}
-
-// --- LocalityCache ---------------------------------------------------------
-
-void LocalityCache::sync(const BlockManagerMaster& master) {
-  if (version_ == master.placement_version()) return;
-  version_ = master.placement_version();
-  for (auto& slots : loc_) {
-    std::fill(slots.begin(), slots.end(), static_cast<std::int8_t>(-1));
-  }
-  for (auto& bits : mem_pref_) {
-    std::fill(bits.begin(), bits.end(), static_cast<std::int8_t>(-1));
-  }
-}
-
-Locality LocalityCache::locality(const JobDag& dag,
-                                 const BlockManagerMaster& master,
-                                 const Topology& topo, StageId s,
-                                 std::int32_t index, ExecutorId exec) {
-  sync(master);
-  if (loc_.empty()) {
-    loc_.resize(dag.num_stages());
-    num_executors_ = topo.num_executors();
-  }
-  const std::size_t want =
-      static_cast<std::size_t>(dag.stage(s).num_tasks) * num_executors_;
-  if (want > kMaxMemoSlots) {
-    // Memo table would be too large for this stage (see kMaxMemoSlots);
-    // recompute directly — identical answer, no storage.
-    return task_locality_on(dag, master, topo, s, index, exec);
-  }
-  auto& slots = loc_[static_cast<std::size_t>(s.value())];
-  if (slots.empty()) slots.assign(want, static_cast<std::int8_t>(-1));
-  const std::size_t slot =
-      static_cast<std::size_t>(index) * num_executors_ +
-      static_cast<std::size_t>(exec.value());
-  if (slots[slot] < 0) {
-    slots[slot] = static_cast<std::int8_t>(
-        task_locality_on(dag, master, topo, s, index, exec));
-  }
-  return static_cast<Locality>(slots[slot]);
-}
-
-bool LocalityCache::any_process_pref(const JobDag& dag,
-                                     const BlockManagerMaster& master,
-                                     const StageRuntime& stage) {
-  sync(master);
-  if (mem_pref_.empty()) mem_pref_.resize(dag.num_stages());
-  auto& bits = mem_pref_[static_cast<std::size_t>(stage.id.value())];
-  const Stage& s = dag.stage(stage.id);
-  if (bits.empty()) {
-    bits.assign(static_cast<std::size_t>(s.num_tasks),
-                static_cast<std::int8_t>(-1));
-  }
-  for (const std::int32_t index : stage.pending) {
-    auto& bit = bits[static_cast<std::size_t>(index)];
-    if (bit < 0) {
-      bit = 0;
-      for (const RddRef& ref : s.inputs) {
-        if (ref.kind != DepKind::Narrow) continue;
-        if (master.any_healthy_memory_holder(BlockId{ref.rdd, index})) {
-          bit = 1;
-          break;
-        }
-      }
-    }
-    if (bit > 0) return true;
-  }
-  return false;
-}
-
-std::vector<Locality> LocalityCache::levels(const JobDag& dag,
-                                            const BlockManagerMaster& master,
-                                            const Topology& topo,
-                                            const StageRuntime& stage) {
-  (void)topo;
-  if (!stage_has_narrow(dag.stage(stage.id))) {
-    return {Locality::NoPref, Locality::Any};
-  }
-  return narrow_levels(any_process_pref(dag, master, stage));
+  std::vector<Locality> levels;
+  if (any_process) levels.push_back(Locality::Process);
+  levels.push_back(Locality::Node);
+  levels.push_back(Locality::Rack);
+  levels.push_back(Locality::Any);
+  return levels;
 }
 
 }  // namespace dagon

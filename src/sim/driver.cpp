@@ -85,7 +85,6 @@ SimDriver::SimDriver(const JobDag& dag, const JobProfile& profile,
     }
     stage_last_launch_.assign(dag.num_stages(), SimTime{-1});
   }
-  delay_->set_locality_cache_enabled(config_.incremental_scheduling);
   // LERC scores blocks by effective reference count, which needs the
   // oracle's peer-group residency mirror. Enabled only for LERC so every
   // other policy's runs stay bit-identical to pre-LERC builds.
@@ -1432,10 +1431,7 @@ void SimDriver::push_priority_update() {
   // pv values derive solely from per-stage remaining_work; JobState
   // bumps pv_epoch whenever any of those change, so pushes on events
   // that launched or finished nothing are skipped entirely.
-  if (config_.incremental_scheduling &&
-      state_.pv_epoch() == pushed_pv_epoch_) {
-    return;
-  }
+  if (state_.pv_epoch() == pushed_pv_epoch_) return;
   pushed_pv_epoch_ = state_.pv_epoch();
   oracle_.set_priority_values(state_.priority_values());
 }

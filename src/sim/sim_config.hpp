@@ -80,13 +80,6 @@ struct SimConfig {
   /// Scheduler wake-up period (Spark's revive interval).
   SimTime tick_interval = 100 * kMsec;
 
-  /// Incremental hot paths in the per-event schedule loop: memoized
-  /// (stage, task, executor) locality invalidated on block-placement
-  /// changes, and dirty-flag-guarded priority pushes into the oracle.
-  /// Results are identical either way; `false` keeps the recompute-
-  /// per-event baseline for A/B measurement (bench_perf).
-  bool incremental_scheduling = true;
-
   /// Lognormal-ish multiplicative noise on task compute durations
   /// (sigma of a normal factor centred at 1; 0 = deterministic).
   double duration_noise = 0.0;

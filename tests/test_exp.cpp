@@ -75,20 +75,6 @@ TEST(Sweep, RepeatedParallelRunsAreStable) {
   }
 }
 
-TEST(Sweep, IncrementalFlagDoesNotChangeResults) {
-  // The hot-path optimization is an optimization, not a behaviour
-  // change: incremental_scheduling on/off must be bit-identical.
-  auto grid = policy_grid();
-  const SweepReport incremental = run_sweep(grid, SweepOptions{1});
-  for (SweepRun& r : grid) r.config.incremental_scheduling = false;
-  const SweepReport baseline = run_sweep(grid, SweepOptions{1});
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    EXPECT_EQ(metrics_fingerprint(incremental.runs[i].metrics),
-              metrics_fingerprint(baseline.runs[i].metrics))
-        << "run " << i << " (" << grid[i].label << ") diverged";
-  }
-}
-
 TEST(Sweep, SerialModeUsesNoPool) {
   const auto grid = policy_grid();
   const SweepReport r =

@@ -179,13 +179,13 @@ TEST_F(SchedFixture, TaskLocalityLevels) {
 TEST_F(SchedFixture, ValidLocalityLevels) {
   master_.seed_initial_cache(SimTime{0});
   const auto levels_s1 =
-      valid_locality_levels(dag(), master_, topo_, state_.stage(StageId(0)));
+      valid_locality_levels(dag(), master_, state_.stage(StageId(0)));
   ASSERT_FALSE(levels_s1.empty());
   EXPECT_EQ(levels_s1.front(), Locality::Process);
   EXPECT_EQ(levels_s1.back(), Locality::Any);
 
   const auto levels_s3 =
-      valid_locality_levels(dag(), master_, topo_, state_.stage(StageId(2)));
+      valid_locality_levels(dag(), master_, state_.stage(StageId(2)));
   EXPECT_EQ(levels_s3.front(), Locality::NoPref);
 }
 

@@ -163,6 +163,20 @@ TEST(MakeServing, WeightCountMismatchThrows) {
 
 // --- end-to-end serving runs ----------------------------------------------
 
+RunMetrics run_serving(const std::vector<Workload>& instances,
+                       const ArrivalSpec& spec, bool fair,
+                       CachePolicyKind cache, std::uint64_t seed = 42) {
+  ServingOptions opt;
+  opt.fair_share = fair;
+  const ServingWorkload sw = make_serving(instances, spec, opt);
+  SimConfig config = serve_cluster();
+  config.serving = sw.serving;
+  config.cache = cache;
+  config.seed = seed;
+  return run_workload(sw.batch.combined, config).metrics;
+}
+
+/// `jobs` paired jobs arriving every `gap_sec` seconds.
 RunMetrics run_serving(std::int32_t jobs, double gap_sec, bool fair,
                        CachePolicyKind cache, std::uint64_t seed = 42) {
   std::vector<Workload> instances;
@@ -172,14 +186,7 @@ RunMetrics run_serving(std::int32_t jobs, double gap_sec, bool fair,
   ArrivalSpec spec;
   spec.kind = ArrivalKind::Trace;
   spec.trace_gaps_sec = {gap_sec};
-  ServingOptions opt;
-  opt.fair_share = fair;
-  const ServingWorkload sw = make_serving(instances, spec, opt);
-  SimConfig config = serve_cluster();
-  config.serving = sw.serving;
-  config.cache = cache;
-  config.seed = seed;
-  return run_workload(sw.batch.combined, config).metrics;
+  return run_serving(instances, spec, fair, cache, seed);
 }
 
 TEST(Serving, EveryJobQuiescesAndAccountsItsReads) {
@@ -265,6 +272,41 @@ TEST(Serving, LercServingRunProducesEffectiveHits) {
   EXPECT_EQ(m.cache.effective_task_reads, 12);
   EXPECT_GT(m.cache.effective_task_hits, 0);
   EXPECT_GT(m.cache.effective_hit_ratio(), 0.0);
+}
+
+TEST(Serving, ContendedCacheFingerprintsArePinned) {
+  // 8 KMeans x1 jobs, Poisson arrivals at 2 jobs/s, fair share: the
+  // shared cache is contended, so admissions and evictions interleave
+  // with reads and locality answers shift on every placement change.
+  // LERC lands on LRC's value on this workload; its row still pins the
+  // peer-tracking path. A change to any value needs a stated reason.
+  std::vector<Workload> instances;
+  for (int j = 0; j < 8; ++j) {
+    Workload w = make_workload(WorkloadId::KMeans, WorkloadScale{1.0});
+    w.name += "#" + std::to_string(j);
+    instances.push_back(std::move(w));
+  }
+  ArrivalSpec spec;
+  spec.kind = ArrivalKind::Poisson;
+  spec.rate_per_sec = 2.0;
+  spec.seed = 42;
+  struct Pin {
+    CachePolicyKind cache;
+    std::uint64_t fingerprint;
+  };
+  const Pin pins[] = {
+      {CachePolicyKind::Lru, 0xe53b0357b550825dull},
+      {CachePolicyKind::Lrc, 0xf5bbd873e25078d8ull},
+      {CachePolicyKind::Lerc, 0xf5bbd873e25078d8ull},
+  };
+  for (const Pin& pin : pins) {
+    const RunMetrics m = run_serving(instances, spec, /*fair=*/true,
+                                     pin.cache);
+    ASSERT_EQ(m.jobs.size(), 8u);
+    EXPECT_EQ(metrics_fingerprint(m), pin.fingerprint)
+        << cache_policy_name(pin.cache) << " 0x" << std::hex
+        << metrics_fingerprint(m);
+  }
 }
 
 TEST(Serving, SingleJobRunsReportNoJobTable) {

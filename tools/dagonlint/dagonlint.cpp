@@ -31,17 +31,6 @@
 //                    through fsm::transition() so illegal edges throw
 //                    (debug) or count (release) instead of silently
 //                    corrupting the run.
-//   enum-switch-default
-//                    `default:` arm in a switch over a dagon
-//                    `enum class`: it swallows the -Wswitch-enum
-//                    exhaustiveness guarantee, so a new enumerator
-//                    falls through silently instead of failing the
-//                    build.
-//   event-handler-complete
-//                    an EventType enumerator with no matching
-//                    `case EventType::X` dispatch in driver.cpp: an
-//                    event that can be scheduled but never handled is
-//                    a silently dropped simulation step.
 //
 // The unit-safety rules guard the dagonunits strong-type layer
 // (common/quantity.hpp): the compiler rejects dimensionally invalid
@@ -189,14 +178,6 @@ const Rule kRules[] = {
      "direct assignment to a lifecycle field (status/state/health/"
      "residency); route the write through fsm::transition()",
      {"common/fsm.hpp"}},
-    {"enum-switch-default",
-     "`default:` arm in a switch over a dagon enum class defeats "
-     "-Wswitch-enum exhaustiveness; list every enumerator",
-     {}},
-    {"event-handler-complete",
-     "EventType enumerator with no `case EventType::X` dispatch in "
-     "driver.cpp (schedulable but unhandled event)",
-     {}},
     {"raw-unit-decl",
      "raw int64_t/long long declaration of a unit-suffixed name "
      "(*_us/*_usec/*_bytes/*_work); declare it SimTime/Bytes/CpuWork",
@@ -570,27 +551,11 @@ struct Finding {
   std::string message;
 };
 
-/// An enumerator of `enum class EventType`, with its declaration site
-/// (where an event-handler-complete finding is reported).
-struct EventEnumerator {
-  std::string name;
-  std::string path;
-  int line = 0;
-};
-
 struct Context {
   /// Identifiers declared (anywhere in the scanned set) as unordered
   /// containers, or accessors returning references to them.
   std::set<std::string> unordered_names;
-  /// `enum class` type names declared anywhere in the scanned set.
-  std::set<std::string> enum_class_names;
-  /// Enumerators of `enum class EventType` (the simulator event set).
-  std::vector<EventEnumerator> event_enumerators;
-  /// True when the scanned set contains a file named driver.cpp — the
-  /// event dispatch loop lives there, so event-handler-complete is only
-  /// meaningful when it is in scope.
-  bool saw_driver_cpp = false;
-  /// Per-file allow() coverage, kept for the cross-file event check.
+  /// Per-file allow() coverage, kept for the cross-file graph checks.
   std::map<std::string, std::set<std::pair<std::string, int>>> allowed_by_path;
   std::vector<Finding> findings;
 };
@@ -649,46 +614,6 @@ void collect_unordered_names(const FileScan& scan, Context& ctx) {
       if (next == ";" || next == "=" || next == "{" || next == "(" ||
           next == ",") {
         ctx.unordered_names.insert(name);
-      }
-    }
-  }
-}
-
-std::size_t matching_close(const std::vector<Token>& toks, std::size_t open,
-                           const char* open_t, const char* close_t);
-
-/// Collects `enum class` type names, and — for `enum class EventType` —
-/// its enumerators with their declaration sites.
-void collect_enum_info(const FileScan& scan, Context& ctx) {
-  const auto& toks = scan.tokens;
-  for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
-    if (toks[i].kind != TokKind::Identifier || toks[i].text != "enum") {
-      continue;
-    }
-    std::size_t j = i + 1;
-    if (toks[j].text == "class" || toks[j].text == "struct") ++j;
-    if (j >= toks.size() || toks[j].kind != TokKind::Identifier) continue;
-    const std::string& name = toks[j].text;
-    ++j;
-    // Skip an underlying-type clause (`: std::uint8_t`).
-    if (j < toks.size() && toks[j].text == ":") {
-      while (j < toks.size() && toks[j].text != "{" && toks[j].text != ";") {
-        ++j;
-      }
-    }
-    // Forward declarations introduce no enumerators and the name is
-    // collected at the definition anyway.
-    if (j >= toks.size() || toks[j].text != "{") continue;
-    ctx.enum_class_names.insert(name);
-    if (name != "EventType") continue;
-    const std::size_t end = matching_close(toks, j, "{", "}");
-    // An enumerator is the identifier right after `{` or `,`; anything
-    // after an `=` (explicit values) is an initializer, not a name.
-    for (std::size_t k = j + 1; k < end; ++k) {
-      if (toks[k].kind == TokKind::Identifier &&
-          (toks[k - 1].text == "{" || toks[k - 1].text == ",")) {
-        ctx.event_enumerators.push_back(
-            {toks[k].text, scan.path, toks[k].line});
       }
     }
   }
@@ -1005,53 +930,6 @@ void check_raw_transition(const FileScan& scan, const Context&,
     report(out, scan, ok, toks[i].line, "raw-transition",
            "direct write to lifecycle field '" + toks[i].text +
                "'; route the transition through fsm::transition()");
-  }
-}
-
-void check_enum_switch_default(const FileScan& scan, const Context& ctx,
-                               const std::set<std::pair<std::string, int>>&
-                                   ok,
-                               std::vector<Finding>& out) {
-  const auto& toks = scan.tokens;
-  for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
-    if (toks[i].kind != TokKind::Identifier || toks[i].text != "switch" ||
-        toks[i + 1].text != "(") {
-      continue;
-    }
-    const std::size_t close = matching_close(toks, i + 1, "(", ")");
-    if (close + 1 >= toks.size() || toks[close + 1].text != "{") continue;
-    const std::size_t body = close + 1;
-    const std::size_t end = matching_close(toks, body, "{", "}");
-    // Walk the top level of the switch body: case labels of a nested
-    // switch sit at a deeper brace depth and belong to that switch.
-    int depth = 0;
-    std::string enum_name;
-    int default_line = 0;
-    for (std::size_t j = body; j < end; ++j) {
-      if (toks[j].text == "{") ++depth;
-      if (toks[j].text == "}") --depth;
-      if (depth != 1 || toks[j].kind != TokKind::Identifier) continue;
-      if (toks[j].text == "case") {
-        // Scan the label up to its terminating `:` for a known dagon
-        // enum class name (qualified enumerators: `case Kind::A:`,
-        // `case ns::Kind::A:`).
-        for (std::size_t k = j + 1; k < end && toks[k].text != ":"; ++k) {
-          if (toks[k].kind == TokKind::Identifier &&
-              ctx.enum_class_names.count(toks[k].text) != 0 &&
-              k + 1 < end && toks[k + 1].text == "::") {
-            enum_name = toks[k].text;
-          }
-        }
-      } else if (toks[j].text == "default" && j + 1 < end &&
-                 toks[j + 1].text == ":") {
-        default_line = toks[j].line;
-      }
-    }
-    if (!enum_name.empty() && default_line != 0) {
-      report(out, scan, ok, default_line, "enum-switch-default",
-             "`default:` in a switch over enum class '" + enum_name +
-                 "' defeats -Wswitch-enum; list every enumerator instead");
-    }
   }
 }
 
@@ -1547,44 +1425,6 @@ void check_unguarded_capture(const FileScan& scan, const Context&,
                "allow()");
       }
     }
-  }
-}
-
-/// Cross-file check, run once after every file is scanned: each
-/// EventType enumerator must be dispatched somewhere in driver.cpp as
-/// `case EventType::X`. Only meaningful when driver.cpp is in the
-/// scanned set (single-file lint runs would otherwise always fire).
-void check_event_handler_complete(const std::vector<FileScan>& scans,
-                                  Context& ctx) {
-  if (!ctx.saw_driver_cpp) return;
-  std::set<std::string> handled;
-  for (const FileScan& scan : scans) {
-    if (std::filesystem::path(scan.path).filename() != "driver.cpp") {
-      continue;
-    }
-    const auto& toks = scan.tokens;
-    for (std::size_t i = 3; i < toks.size(); ++i) {
-      if (toks[i].kind == TokKind::Identifier &&
-          toks[i - 1].text == "::" && toks[i - 2].text == "EventType" &&
-          toks[i - 3].text == "case") {
-        handled.insert(toks[i].text);
-      }
-    }
-  }
-  const Rule* rule = find_rule("event-handler-complete");
-  for (const EventEnumerator& e : ctx.event_enumerators) {
-    if (handled.count(e.name) != 0) continue;
-    if (rule != nullptr && rule_exempt(*rule, e.path)) continue;
-    const auto ok_it = ctx.allowed_by_path.find(e.path);
-    if (ok_it != ctx.allowed_by_path.end() &&
-        ok_it->second.count({"event-handler-complete", e.line}) != 0) {
-      continue;
-    }
-    ctx.findings.push_back(
-        {e.path, e.line, "event-handler-complete",
-         "EventType::" + e.name + " has no `case EventType::" + e.name +
-             "` dispatch in driver.cpp; the event would be scheduled but "
-             "never handled"});
   }
 }
 
@@ -2257,10 +2097,6 @@ int run(const std::vector<std::string>& roots, Format format,
   Context ctx;
   for (const FileScan& scan : scans) {
     collect_unordered_names(scan, ctx);
-    collect_enum_info(scan, ctx);
-    if (std::filesystem::path(scan.path).filename() == "driver.cpp") {
-      ctx.saw_driver_cpp = true;
-    }
   }
 
   // Pass B (parallel, per-file): every check writes into its own file's
@@ -2295,7 +2131,6 @@ int run(const std::vector<std::string>& roots, Format format,
         check_ptr_order(scan, ctx, fc.ok, fc.findings);
         check_float_accum(scan, ctx, fc.ok, fc.findings);
         check_raw_transition(scan, ctx, fc.ok, fc.findings);
-        check_enum_switch_default(scan, ctx, fc.ok, fc.findings);
         check_raw_unit_decl(scan, ctx, fc.ok, fc.findings);
         check_narrowing_cast(scan, ctx, fc.ok, fc.findings);
         check_magic_unit_constant(scan, ctx, fc.ok, fc.findings);
@@ -2311,7 +2146,6 @@ int run(const std::vector<std::string>& roots, Format format,
                         per_file[i].findings.end());
     ctx.allowed_by_path.emplace(scans[i].path, std::move(per_file[i].ok));
   }
-  check_event_handler_complete(scans, ctx);
 
   // dagonarch (serial, cross-file): the include graph is one shared
   // structure, so the graph rules run once after the per-file fan-out —
