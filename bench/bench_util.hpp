@@ -118,4 +118,15 @@ inline std::string delta(double now, double base) {
          TextTable::percent(std::abs(change));
 }
 
+/// Fig. 2's fragmentation: capacity·jct minus the vCPU-time the run's
+/// task records actually occupied, on one `capacity`-vCPU pool.
+inline CpuWork idle_cpu_time(const JobDag& dag, const RunMetrics& m,
+                             Cpus capacity) {
+  CpuWork busy{};
+  for (const TaskRecord& t : m.tasks) {
+    busy += dag.stage(t.stage).task_cpus * (t.finish - t.launch);
+  }
+  return capacity * m.jct - busy;
+}
+
 }  // namespace dagon::bench

@@ -29,11 +29,7 @@ int main() {
   }
 
   // One 16-vCPU executor, as in the paper's walk-through.
-  SimConfig base;
-  base.topology.racks = 1;
-  base.topology.nodes_per_rack = 1;
-  base.topology.executors_per_node = 1;
-  base.topology.cores_per_executor = Cpus{16};
+  SimConfig base = single_executor_pool(Cpus{16});
   base.topology.cache_bytes_per_executor = 64 * kMiB;
   base.hdfs.replication = 1;
 

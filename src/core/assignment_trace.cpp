@@ -1,208 +1,46 @@
 #include "core/assignment_trace.hpp"
 
 #include <algorithm>
-#include <queue>
-
-#include "common/error.hpp"
-#include "dag/dag_analysis.hpp"
-#include "dag/profile.hpp"
 
 namespace dagon {
 
-namespace {
-
-struct StageState {
-  std::int32_t next_task = 0;
-  std::int32_t finished = 0;
-  std::int32_t running = 0;
-  CpuWork remaining{};
-  bool ready = false;
-  bool finished_all = false;
-};
-
-}  // namespace
-
-AssignmentTrace trace_priority_assignment(const JobDag& dag, Cpus capacity,
-                                          SchedulerKind kind) {
-  DAGON_CHECK(capacity > Cpus{0});
-  for (const Stage& s : dag.stages()) {
-    if (s.task_cpus > capacity) {
-      throw ConfigError("stage '" + s.name + "' cannot fit the pool");
-    }
-  }
-
-  const std::vector<SimTime> cp = critical_path_lengths(dag);
-  std::vector<StageState> st(dag.num_stages());
-  std::vector<CpuWork> per_task(dag.num_stages());
-  for (const Stage& s : dag.stages()) {
-    auto& state = st[static_cast<std::size_t>(s.id.value())];
-    state.remaining = s.workload();
-    state.ready = s.parents.empty();
-    per_task[static_cast<std::size_t>(s.id.value())] =
-        s.num_tasks > 0 ? s.workload() / s.num_tasks : CpuWork{0};
-  }
-
-  const auto pv_of = [&](StageId id) {
-    CpuWork v = st[static_cast<std::size_t>(id.value())].remaining;
-    for (const StageId succ : dag.successor_set(id)) {
-      v += st[static_cast<std::size_t>(succ.value())].remaining;
-    }
-    return v;
+std::vector<AssignmentStep> assignment_steps(const JobDag& dag,
+                                             const RunMetrics& m,
+                                             Cpus capacity) {
+  const auto at = [](StageId id) {
+    return static_cast<std::size_t>(id.value());
   };
+  std::vector<CpuWork> w(dag.num_stages());
+  for (const Stage& s : dag.stages()) w[at(s.id)] = s.workload();
 
-  // Offer order per policy (mirrors the StageSelector implementations,
-  // over this tracer's lightweight state).
-  const auto order = [&]() {
-    std::vector<StageId> ready;
-    for (const Stage& s : dag.stages()) {
-      const auto& state = st[static_cast<std::size_t>(s.id.value())];
-      if (state.ready && !state.finished_all &&
-          state.next_task < s.num_tasks) {
-        ready.push_back(s.id);
+  std::vector<AssignmentStep> steps;
+  steps.reserve(m.tasks.size());
+  for (std::size_t k = 0; k < m.tasks.size(); ++k) {
+    const TaskRecord& t = m.tasks[k];
+    const Stage& s = dag.stage(t.stage);
+    w[at(t.stage)] =
+        std::max(CpuWork{0}, w[at(t.stage)] - s.task_cpus * s.task_duration);
+
+    AssignmentStep step;
+    step.step = static_cast<int>(k) + 1;
+    step.time = t.launch;
+    step.chosen = t.stage;
+    step.w_after = w;
+    step.pv_after.reserve(dag.num_stages());
+    for (const Stage& each : dag.stages()) {
+      CpuWork pv = w[at(each.id)];
+      for (const StageId succ : dag.successor_set(each.id)) pv += w[at(succ)];
+      step.pv_after.push_back(pv);
+    }
+    step.free_after = capacity;
+    for (std::size_t j = 0; j <= k; ++j) {
+      if (m.tasks[j].finish > t.launch) {
+        step.free_after -= dag.stage(m.tasks[j].stage).task_cpus;
       }
     }
-    switch (kind) {
-      case SchedulerKind::Fifo:
-      case SchedulerKind::Fair:
-        std::sort(ready.begin(), ready.end());
-        break;
-      case SchedulerKind::CriticalPath:
-        std::stable_sort(ready.begin(), ready.end(),
-                         [&](StageId a, StageId b) {
-                           const SimTime ca =
-                               cp[static_cast<std::size_t>(a.value())];
-                           const SimTime cb =
-                               cp[static_cast<std::size_t>(b.value())];
-                           if (ca != cb) return ca > cb;
-                           return a < b;
-                         });
-        break;
-      case SchedulerKind::Graphene: {
-        std::stable_sort(ready.begin(), ready.end(),
-                         [&](StageId a, StageId b) {
-                           const auto score = [&](StageId id) {
-                             const Stage& s = dag.stage(id);
-                             return static_cast<double>(s.task_duration.count()) *
-                                    s.task_cpus.count();
-                           };
-                           const double sa = score(a);
-                           const double sb = score(b);
-                           if (sa != sb) return sa > sb;
-                           return a < b;
-                         });
-        break;
-      }
-      case SchedulerKind::Dagon:
-        std::stable_sort(ready.begin(), ready.end(),
-                         [&](StageId a, StageId b) {
-                           const CpuWork pa = pv_of(a);
-                           const CpuWork pb = pv_of(b);
-                           if (pa != pb) return pa > pb;
-                           return a < b;
-                         });
-        break;
-    }
-    return ready;
-  };
-
-  struct Finish {
-    SimTime time;
-    StageId stage;
-    std::int32_t task;
-    bool operator>(const Finish& o) const {
-      if (time != o.time) return time > o.time;
-      if (stage != o.stage) return stage > o.stage;
-      return task > o.task;
-    }
-  };
-  std::priority_queue<Finish, std::vector<Finish>, std::greater<>> finishes;
-
-  AssignmentTrace trace;
-  Cpus free = capacity;
-  SimTime now{};
-  int step = 0;
-
-  const auto try_assign = [&]() {
-    bool progress = true;
-    while (progress) {
-      progress = false;
-      for (const StageId sid : order()) {
-        const Stage& s = dag.stage(sid);
-        if (s.task_cpus > free) continue;
-        auto& state = st[static_cast<std::size_t>(sid.value())];
-        const std::int32_t task = state.next_task++;
-        ++state.running;
-        state.remaining = std::max(
-            CpuWork{0}, state.remaining -
-                   per_task[static_cast<std::size_t>(sid.value())]);
-        free -= s.task_cpus;
-        const SimTime end = now + s.task_compute_time(task);
-        finishes.push(Finish{end, sid, task});
-        trace.placements.push_back(
-            PlacedTask{sid, task, now, end, s.task_cpus});
-
-        AssignmentStep rec;
-        rec.step = ++step;
-        rec.time = now;
-        rec.chosen = sid;
-        rec.free_after = free;
-        rec.w_after.reserve(dag.num_stages());
-        rec.pv_after.reserve(dag.num_stages());
-        for (const Stage& each : dag.stages()) {
-          rec.w_after.push_back(
-              st[static_cast<std::size_t>(each.id.value())].remaining);
-          rec.pv_after.push_back(pv_of(each.id));
-        }
-        trace.steps.push_back(std::move(rec));
-        progress = true;
-        break;
-      }
-    }
-  };
-
-  try_assign();
-  while (!finishes.empty()) {
-    // Drain every completion at this instant before reassigning, so the
-    // free-CPU column matches the paper's Table III (16 free at t=0,
-    // 12 free after the two stage-2 tasks complete at t=2, ...).
-    now = finishes.top().time;
-    while (!finishes.empty() && finishes.top().time == now) {
-      const Finish f = finishes.top();
-      finishes.pop();
-      const Stage& s = dag.stage(f.stage);
-      auto& state = st[static_cast<std::size_t>(f.stage.value())];
-      --state.running;
-      free += s.task_cpus;
-      if (++state.finished == s.num_tasks) {
-        state.finished_all = true;
-        // Promote children whose parents are all done.
-        for (const Stage& child : dag.stages()) {
-          auto& cs = st[static_cast<std::size_t>(child.id.value())];
-          if (cs.ready || cs.finished_all) continue;
-          const bool ok = std::all_of(
-              child.parents.begin(), child.parents.end(), [&](StageId p) {
-                return st[static_cast<std::size_t>(p.value())].finished_all;
-              });
-          if (ok) cs.ready = true;
-        }
-      }
-    }
-    try_assign();
+    steps.push_back(std::move(step));
   }
-
-  for (const StageState& state : st) {
-    DAGON_CHECK_MSG(state.finished_all,
-                    "tracer finished with incomplete stages");
-  }
-  trace.makespan = now;
-
-  // Fragmentation: capacity·makespan − total useful work actually run.
-  CpuWork busy{};
-  for (const PlacedTask& p : trace.placements) {
-    busy += p.cpus * (p.end - p.start);
-  }
-  trace.idle_cpu_time = capacity * trace.makespan - busy;
-  return trace;
+  return steps;
 }
 
 }  // namespace dagon

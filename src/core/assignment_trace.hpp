@@ -1,16 +1,15 @@
-// Resource-only schedule tracer: runs a stage-selection policy against a
-// single pool of vCPUs with exact task durations, ignoring locality and
-// caching. This isolates the paper's Algorithm 1 so that:
-//   * Table III's step-by-step (w_i, pv_i, free CPUs) bookkeeping can be
-//     printed verbatim, and
-//   * Fig. 2's FIFO vs DAG-aware schedule diagrams can be regenerated.
+// Table III bookkeeping folded over a finished SimDriver run: for every
+// task launch, the stage chosen, each stage's remaining workload w_i and
+// priority value pv_i (Eq. 6) after the launch, and the vCPUs left free
+// on the pool. The run itself is the schedule, so Table III and the
+// Fig. 2 diagrams measure the simulator rather than a second model.
 #pragma once
 
 #include <vector>
 
 #include "common/units.hpp"
 #include "dag/job_dag.hpp"
-#include "sched/stage_selector.hpp"
+#include "sim/metrics.hpp"
 
 namespace dagon {
 
@@ -26,28 +25,11 @@ struct AssignmentStep {
   Cpus free_after{};
 };
 
-/// One placed task (for the Fig. 2 schedule diagram).
-struct PlacedTask {
-  StageId stage;
-  std::int32_t index = -1;
-  SimTime start{};
-  SimTime end{};
-  Cpus cpus{};
-};
-
-struct AssignmentTrace {
-  std::vector<AssignmentStep> steps;
-  std::vector<PlacedTask> placements;
-  SimTime makespan{};
-  /// Integral of (capacity − busy) over [0, makespan): the resource
-  /// fragmentation the paper's Fig. 2 narration quantifies (vCPU·time).
-  CpuWork idle_cpu_time{};
-};
-
-/// Runs `kind` (Fifo / Fair / CriticalPath / Graphene / Dagon) over the
-/// DAG on one `capacity`-vCPU executor pool.
-[[nodiscard]] AssignmentTrace trace_priority_assignment(const JobDag& dag,
-                                                        Cpus capacity,
-                                                        SchedulerKind kind);
+/// One row per record of `m.tasks` (launch order) of a run of `dag` on a
+/// single `capacity`-vCPU pool. w_i drops by task_cpus·task_duration per
+/// launch, as in JobState; free vCPUs count the records launched so far
+/// that are still running at this launch.
+[[nodiscard]] std::vector<AssignmentStep> assignment_steps(
+    const JobDag& dag, const RunMetrics& m, Cpus capacity);
 
 }  // namespace dagon

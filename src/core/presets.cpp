@@ -83,6 +83,15 @@ SimConfig tail_testbed() {
   return config;
 }
 
+SimConfig single_executor_pool(Cpus cores) {
+  SimConfig config;
+  config.topology.racks = 1;
+  config.topology.nodes_per_rack = 1;
+  config.topology.executors_per_node = 1;
+  config.topology.cores_per_executor = cores;
+  return config;
+}
+
 SystemCombo stock_spark() {
   return {"FIFO+LRU", SchedulerKind::Fifo, CachePolicyKind::Lru,
           DelayKind::Native};

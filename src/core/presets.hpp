@@ -39,6 +39,10 @@ namespace dagon {
 /// every compute time from t=0.
 [[nodiscard]] SimConfig tail_testbed();
 
+/// One rack, one node, one `cores`-vCPU executor: the single pool of the
+/// paper's Fig. 1/2 walk-through. Everything else is SimConfig's default.
+[[nodiscard]] SimConfig single_executor_pool(Cpus cores);
+
 /// A named (scheduler, cache, delay) combination.
 struct SystemCombo {
   std::string label;

@@ -348,6 +348,10 @@ RunMetrics SimDriver::run() {
                          << " finished");
         break;
     }
+    // Scheduling runs after every event, so completions at the same
+    // instant are seen one at a time, in push order: a stage readied by
+    // a later one can lose freed cores to a stage offered earlier
+    // (Table III, t=4: S1 launches before S3).
     schedule_loop(now);
     // Proactive sweeps and prefetch scans are O(cached blocks) /
     // O(candidates x executors): run them at tick granularity (plus on

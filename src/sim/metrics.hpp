@@ -262,6 +262,10 @@ class RunMetrics {
   /// Deterministic for a fixed config (unlike wall-clock time).
   std::int64_t sim_events = 0;
 
+  /// One record per task attempt, in launch order: record k is the
+  /// attempt whose TaskId launch_task assigned as k, so launch times
+  /// never decrease along the vector (core/assignment_trace folds over
+  /// this order).
   std::vector<TaskRecord> tasks;
   std::vector<StageRecord> stages;
   CacheStats cache;

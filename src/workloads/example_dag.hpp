@@ -22,7 +22,9 @@ struct ExampleDagParams {
   /// structure also serves fast unit tests.
   SimTime minute = kMinute;
   /// Block size for all RDD partitions (kept small: Fig. 1/2 reasoning
-  /// ignores fetch costs).
+  /// ignores fetch costs). `Bytes{0}` makes every fetch cost exactly 0,
+  /// which Table III and Fig. 2 use; Table I's cache trace sizes its
+  /// cache in blocks and needs more than 0.
   Bytes block_bytes = kMiB;
   /// Partitions of A initially resident in memory (3 in the paper).
   std::int32_t cached_a_partitions = 3;

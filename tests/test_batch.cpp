@@ -82,11 +82,7 @@ TEST(Batch, FairSharesAcrossJobsFifoSerializes) {
   // (beta's first launch is late); Fair interleaves (both start early).
   const BatchWorkload batch = merge_workloads(
       {tiny_job("alpha", 4 * kSec, Cpus{1}), tiny_job("beta", 4 * kSec, Cpus{1})});
-  SimConfig config;
-  config.topology.racks = 1;
-  config.topology.nodes_per_rack = 1;
-  config.topology.executors_per_node = 1;
-  config.topology.cores_per_executor = Cpus{4};  // 8+8 tasks on 4 cores
+  SimConfig config = single_executor_pool(Cpus{4});  // 8+8 tasks on 4 cores
 
   config.scheduler = SchedulerKind::Fifo;
   const auto fifo =
@@ -106,11 +102,7 @@ TEST(Batch, DagonPrioritizesBiggerRemainingWork) {
   // first, so the light job finishes close to last (makespan-friendly).
   const BatchWorkload batch = merge_workloads(
       {tiny_job("light", kSec, Cpus{1}), tiny_job("heavy", 8 * kSec, Cpus{1})});
-  SimConfig config;
-  config.topology.racks = 1;
-  config.topology.nodes_per_rack = 1;
-  config.topology.executors_per_node = 1;
-  config.topology.cores_per_executor = Cpus{4};
+  SimConfig config = single_executor_pool(Cpus{4});
   config.scheduler = SchedulerKind::Dagon;
   const auto done =
       per_job_completions(batch, run_workload(batch.combined,

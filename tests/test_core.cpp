@@ -1,6 +1,10 @@
-// Tests for the core module: AppProfiler, presets, Runner, and the two
-// trace engines (cache trace, assignment trace).
+// Tests for the core module: AppProfiler, the Table I cache-trace engine,
+// and the Table III fold over a SimDriver run (assignment_steps).
 #include <gtest/gtest.h>
+
+#include <array>
+#include <iterator>
+#include <string>
 
 #include "core/app_profiler.hpp"
 #include "core/assignment_trace.hpp"
@@ -188,92 +192,56 @@ TEST(CacheTrace, RejectsUnorderedSchedule) {
       InvariantError);
 }
 
-// --- assignment trace (Table III / Fig. 2 machinery) -------------------------
+// --- Table III: Algorithm 1 bookkeeping folded over a SimDriver run ---------
 
-TEST(AssignmentTrace, FifoMakespanIs13Minutes) {
-  const Workload w = make_example_dag();
-  const auto trace =
-      trace_priority_assignment(w.dag, Cpus{16}, SchedulerKind::Fifo);
-  EXPECT_EQ(trace.makespan, 13 * kMinute);
-}
+TEST(AssignmentSteps, Table3AllRows) {
+  // Zero-byte blocks: every fetch costs exactly 0, so the run is the
+  // paper's idealized schedule on one 16-vCPU pool.
+  const Workload w = make_example_dag({.block_bytes = Bytes{0}});
+  const RunMetrics m =
+      run_system(w, dagon_full(), single_executor_pool(Cpus{16})).metrics;
+  const std::vector<AssignmentStep> steps =
+      assignment_steps(w.dag, m, Cpus{16});
 
-TEST(AssignmentTrace, DagonMakespanIs9Minutes) {
-  const Workload w = make_example_dag();
-  const auto trace =
-      trace_priority_assignment(w.dag, Cpus{16}, SchedulerKind::Dagon);
-  EXPECT_EQ(trace.makespan, 9 * kMinute);
-}
-
-TEST(AssignmentTrace, DagonReducesFragmentation) {
-  const Workload w = make_example_dag();
-  const auto fifo = trace_priority_assignment(w.dag, Cpus{16}, SchedulerKind::Fifo);
-  const auto dagon =
-      trace_priority_assignment(w.dag, Cpus{16}, SchedulerKind::Dagon);
-  EXPECT_LT(dagon.idle_cpu_time, fifo.idle_cpu_time);
-}
-
-TEST(AssignmentTrace, Table3FirstSteps) {
-  const Workload w = make_example_dag();
-  const auto trace =
-      trace_priority_assignment(w.dag, Cpus{16}, SchedulerKind::Dagon);
-  ASSERT_GE(trace.steps.size(), 4u);
-  // Step 1: stage 2 chosen; w2 36->24, pv2 64->52, free 16->10.
-  EXPECT_EQ(trace.steps[0].chosen, StageId(1));
-  EXPECT_EQ(trace.steps[0].w_after[1], CpuWork{24 * kMinute.count()});
-  EXPECT_EQ(trace.steps[0].pv_after[1], CpuWork{52 * kMinute.count()});
-  EXPECT_EQ(trace.steps[0].free_after, Cpus{10});
-  // Step 2: tie pv1 == pv2 == 52 -> stage 1; w1 48->32, free 10->6.
-  EXPECT_EQ(trace.steps[1].chosen, StageId(0));
-  EXPECT_EQ(trace.steps[1].w_after[0], CpuWork{32 * kMinute.count()});
-  EXPECT_EQ(trace.steps[1].pv_after[0], CpuWork{36 * kMinute.count()});
-  EXPECT_EQ(trace.steps[1].free_after, Cpus{6});
-  // Step 3: stage 2 again; w2 24->12, pv 52->40, free 6->0.
-  EXPECT_EQ(trace.steps[2].chosen, StageId(1));
-  EXPECT_EQ(trace.steps[2].pv_after[1], CpuWork{40 * kMinute.count()});
-  EXPECT_EQ(trace.steps[2].free_after, Cpus{0});
-  // Step 4 (t=2): stage 2's last task; w2 -> 0, pv2 -> 28, free 12->6.
-  EXPECT_EQ(trace.steps[3].chosen, StageId(1));
-  EXPECT_EQ(trace.steps[3].time, 2 * kMinute);
-  EXPECT_EQ(trace.steps[3].w_after[1], CpuWork{0});
-  EXPECT_EQ(trace.steps[3].pv_after[1], CpuWork{28 * kMinute.count()});
-  EXPECT_EQ(trace.steps[3].free_after, Cpus{6});
-}
-
-TEST(AssignmentTrace, PlacementsRespectCapacityAndDeps) {
-  const Workload w = make_example_dag();
-  for (const auto kind :
-       {SchedulerKind::Fifo, SchedulerKind::Dagon, SchedulerKind::Graphene,
-        SchedulerKind::CriticalPath}) {
-    const auto trace = trace_priority_assignment(w.dag, Cpus{16}, kind);
-    // Capacity: sample each placement boundary.
-    for (const PlacedTask& p : trace.placements) {
-      Cpus busy{};
-      for (const PlacedTask& q : trace.placements) {
-        if (q.start <= p.start && p.start < q.end) busy += q.cpus;
-      }
-      EXPECT_LE(busy, Cpus{16});
+  // Rows: t(min), chosen stage (1-based), w1..w4, pv1..pv4, free vCPUs.
+  // Rows 1-4 are the paper's printed rows (the pv tie at row 2 resolves
+  // to stage 1). At t=4 both S1[0] (launched t=0) and S2[2] (launched
+  // t=2) finish. The event queue pops same-instant events in insertion
+  // order and the driver runs schedule_loop after each, so S1[0]'s
+  // completion is handled first: S3 is not ready yet and S1's last task
+  // launches (row 6), then S2[2]'s completion readies S3 (row 7). The
+  // fold counts both completions, hence free 8 before 5.
+  struct Row {
+    std::int64_t minute;
+    std::int32_t stage;
+    std::array<std::int64_t, 4> w;
+    std::array<std::int64_t, 4> pv;
+    std::int32_t free;
+  };
+  const Row rows[] = {
+      {0, 2, {48, 24, 24, 4}, {52, 52, 28, 4}, 10},
+      {0, 1, {32, 24, 24, 4}, {36, 52, 28, 4}, 6},
+      {0, 2, {32, 12, 24, 4}, {36, 40, 28, 4}, 0},
+      {2, 2, {32, 0, 24, 4}, {36, 28, 28, 4}, 6},
+      {2, 1, {16, 0, 24, 4}, {20, 28, 28, 4}, 2},
+      {4, 1, {0, 0, 24, 4}, {4, 28, 28, 4}, 8},
+      {4, 3, {0, 0, 12, 4}, {4, 16, 16, 4}, 5},
+      {4, 3, {0, 0, 0, 4}, {4, 4, 4, 4}, 2},
+      {8, 4, {0, 0, 0, 0}, {0, 0, 0, 0}, 12},
+  };
+  ASSERT_EQ(steps.size(), std::size(rows));
+  for (std::size_t k = 0; k < steps.size(); ++k) {
+    SCOPED_TRACE("row " + std::to_string(k + 1));
+    const AssignmentStep& s = steps[k];
+    EXPECT_EQ(s.step, static_cast<int>(k) + 1);
+    EXPECT_EQ(s.time, rows[k].minute * kMinute);
+    EXPECT_EQ(s.chosen, StageId(rows[k].stage - 1));
+    for (std::size_t i = 0; i < 4; ++i) {
+      EXPECT_EQ(s.w_after[i], CpuWork{rows[k].w[i] * kMinute.count()});
+      EXPECT_EQ(s.pv_after[i], CpuWork{rows[k].pv[i] * kMinute.count()});
     }
-    // Dependencies: a stage's first start >= parents' last end.
-    for (const Stage& s : w.dag.stages()) {
-      SimTime first = kTimeInfinity;
-      for (const PlacedTask& p : trace.placements) {
-        if (p.stage == s.id) first = std::min(first, p.start);
-      }
-      for (const StageId parent : s.parents) {
-        SimTime last{};
-        for (const PlacedTask& p : trace.placements) {
-          if (p.stage == parent) last = std::max(last, p.end);
-        }
-        EXPECT_GE(first, last);
-      }
-    }
+    EXPECT_EQ(s.free_after, Cpus{rows[k].free});
   }
-}
-
-TEST(AssignmentTrace, RejectsOversizedDemand) {
-  const Workload w = make_example_dag();
-  EXPECT_THROW(trace_priority_assignment(w.dag, Cpus{4}, SchedulerKind::Fifo),
-               ConfigError);
 }
 
 }  // namespace

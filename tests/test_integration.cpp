@@ -146,25 +146,6 @@ TEST(JointOperation, ChromeTraceRoundTripsFromRunner) {
   EXPECT_GT(json.size(), 100u);
 }
 
-TEST(JointOperation, AssignmentTraceAgreesWithFullSim) {
-  // The resource-only tracer and the full simulator must agree on the
-  // Fig. 1 makespans when fetch costs are negligible.
-  const Workload w = make_example_dag();
-  for (const SchedulerKind kind :
-       {SchedulerKind::Fifo, SchedulerKind::Dagon}) {
-    const auto trace = trace_priority_assignment(w.dag, Cpus{16}, kind);
-    SimConfig config;
-    config.topology.racks = 1;
-    config.topology.nodes_per_rack = 1;
-    config.topology.executors_per_node = 1;
-    config.topology.cores_per_executor = Cpus{16};
-    config.scheduler = kind;
-    const RunMetrics m = run_workload(w, config).metrics;
-    EXPECT_NEAR(to_seconds(m.jct), to_seconds(trace.makespan),
-                to_seconds(trace.makespan) * 0.05);
-  }
-}
-
 TEST(JointOperation, FairSchedulerBalancesTwoBranches) {
   // Two equal-work parallel chains: Fair must interleave them (neither
   // branch finishes an epoch ahead of the other).
@@ -187,11 +168,7 @@ TEST(JointOperation, FairSchedulerBalancesTwoBranches) {
                .task_cpus = Cpus{1},
                .task_duration = kSec});
   const Workload w{"two-branches", WorkloadCategory::Mixed, b.build()};
-  SimConfig config;
-  config.topology.racks = 1;
-  config.topology.nodes_per_rack = 1;
-  config.topology.executors_per_node = 1;
-  config.topology.cores_per_executor = Cpus{8};
+  SimConfig config = single_executor_pool(Cpus{8});
   config.scheduler = SchedulerKind::Fair;
   const RunMetrics m = run_workload(w, config).metrics;
   const double fin_a = to_seconds(m.stages[0].finish_time);

@@ -26,23 +26,38 @@ WorkloadScale mini_scale() { return WorkloadScale{0.5}; }
 
 // --- Fig. 2: the running example --------------------------------------------
 
+/// capacity·jct minus the vCPU-time the tasks occupied (Fig. 2's
+/// fragmentation) on one 16-vCPU pool, in vCPU-minutes.
+std::int64_t idle_vcpu_minutes(const JobDag& dag, const RunMetrics& m) {
+  CpuWork busy{};
+  for (const TaskRecord& t : m.tasks) {
+    busy += dag.stage(t.stage).task_cpus * (t.finish - t.launch);
+  }
+  return (Cpus{16} * m.jct - busy) / kMinute;
+}
+
+// The Fig. 1 DAG with zero-byte blocks (every fetch costs exactly 0) on
+// one 16-vCPU executor.
 TEST(PaperFig2, DagAwareBeatsFifoByPaperMargin) {
-  const Workload w = make_example_dag();
-  const auto fifo = trace_priority_assignment(w.dag, Cpus{16}, SchedulerKind::Fifo);
-  const auto dagon =
-      trace_priority_assignment(w.dag, Cpus{16}, SchedulerKind::Dagon);
-  EXPECT_EQ(fifo.makespan, 13 * kMinute);
-  EXPECT_EQ(dagon.makespan, 9 * kMinute);
+  const Workload w = make_example_dag({.block_bytes = Bytes{0}});
+  const SimConfig pool = single_executor_pool(Cpus{16});
+  const RunMetrics fifo = run_system(w, stock_spark(), pool).metrics;
+  const RunMetrics dagon = run_system(w, dagon_full(), pool).metrics;
+  EXPECT_EQ(fifo.jct, 13 * kMinute);
+  EXPECT_EQ(dagon.jct, 9 * kMinute);
   // Fig. 2(a): FIFO wastes 4 vCPUs from t=0 to t=4 on top of the tail.
-  EXPECT_GT(fifo.idle_cpu_time, dagon.idle_cpu_time);
+  EXPECT_EQ(idle_vcpu_minutes(w.dag, fifo), 96);
+  EXPECT_EQ(idle_vcpu_minutes(w.dag, dagon), 32);
 }
 
 TEST(PaperFig2, DagonMatchesLowerBoundShape) {
-  const Workload w = make_example_dag();
-  const auto dagon =
-      trace_priority_assignment(w.dag, Cpus{16}, SchedulerKind::Dagon);
+  const Workload w = make_example_dag({.block_bytes = Bytes{0}});
+  const RunMetrics dagon =
+      run_system(w, dagon_full(), single_executor_pool(Cpus{16})).metrics;
+  const SimTime bound = makespan_lower_bound(w.dag, Cpus{16});
+  EXPECT_EQ(bound, 7 * kMinute);
   // 9 min vs the 7-min bound: within 30% of optimal for this DAG.
-  EXPECT_LE(dagon.makespan, makespan_lower_bound(w.dag, Cpus{16}) * 13 / 10);
+  EXPECT_LE(dagon.jct, bound * 13 / 10);
 }
 
 // --- Fig. 3: locality-wait sensitivity ----------------------------------------

@@ -80,8 +80,9 @@ TEST_P(SimInvariants, HoldOnRandomDags) {
   }
 
   // 4. JCT is bounded below by the DAG's critical path through actual
-  //    compute times (fetches only add).
-  EXPECT_GE(m.jct, critical_path(w.dag));
+  //    compute times (fetches only add) and by its total work spread
+  //    over every core: makespan_lower_bound is the max of the two.
+  EXPECT_GE(m.jct, makespan_lower_bound(w.dag, m.total_cores));
 
   // 5. Cache accounting is consistent.
   EXPECT_EQ(m.cache.local_memory_hits + m.cache.other_memory_hits +
@@ -90,10 +91,14 @@ TEST_P(SimInvariants, HoldOnRandomDags) {
   EXPECT_GE(m.cache.hit_ratio(), 0.0);
   EXPECT_LE(m.cache.hit_ratio(), 1.0);
 
-  // 6. Locality histogram covers every attempt.
+  // 6. Locality histogram covers every attempt, and the records are in
+  //    launch order (the assignment_steps fold relies on it).
   std::int64_t launches = 0;
   for (const std::int64_t c : m.locality_histogram) launches += c;
   EXPECT_EQ(launches, static_cast<std::int64_t>(m.tasks.size()));
+  for (std::size_t k = 1; k < m.tasks.size(); ++k) {
+    EXPECT_LE(m.tasks[k - 1].launch, m.tasks[k].launch) << "record " << k;
+  }
 
   // 7. Determinism: rerunning is bit-identical.
   Rng rng2(param.seed);
@@ -125,64 +130,6 @@ std::vector<PropertyCase> property_cases() {
 
 INSTANTIATE_TEST_SUITE_P(AllSystems, SimInvariants,
                          ::testing::ValuesIn(property_cases()), case_name);
-
-// --- assignment-trace invariants over random DAGs ------------------------------
-
-class TraceInvariants : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(TraceInvariants, HoldForEverySelector) {
-  Rng rng(GetParam());
-  RandomDagParams p;
-  p.max_stages = 16;
-  p.max_tasks = 10;
-  p.max_cpus = Cpus{4};
-  const Workload w = make_random_dag(rng, p);
-  const Cpus capacity{12};
-
-  for (const SchedulerKind kind :
-       {SchedulerKind::Fifo, SchedulerKind::Fair, SchedulerKind::CriticalPath,
-        SchedulerKind::Graphene, SchedulerKind::Dagon}) {
-    const auto trace = trace_priority_assignment(w.dag, capacity, kind);
-
-    // Every task placed exactly once.
-    EXPECT_EQ(trace.placements.size(),
-              static_cast<std::size_t>(w.dag.total_tasks()));
-
-    // Capacity respected at every placement start.
-    for (const PlacedTask& t : trace.placements) {
-      Cpus busy{};
-      for (const PlacedTask& q : trace.placements) {
-        if (q.start <= t.start && t.start < q.end) busy += q.cpus;
-      }
-      EXPECT_LE(busy, capacity);
-    }
-
-    // Dependencies respected; makespan >= lower bound.
-    EXPECT_GE(trace.makespan, makespan_lower_bound(w.dag, capacity));
-    for (const Stage& s : w.dag.stages()) {
-      SimTime first = kTimeInfinity;
-      SimTime parent_last{};
-      for (const PlacedTask& t : trace.placements) {
-        if (t.stage == s.id) first = std::min(first, t.start);
-        for (const StageId parent : s.parents) {
-          if (t.stage == parent) parent_last = std::max(parent_last, t.end);
-        }
-      }
-      EXPECT_GE(first, parent_last);
-    }
-
-    // Fragmentation accounting is exact.
-    CpuWork busy_time{};
-    for (const PlacedTask& t : trace.placements) {
-      busy_time += t.cpus * (t.end - t.start);
-    }
-    EXPECT_EQ(trace.idle_cpu_time,
-              capacity * trace.makespan - busy_time);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, TraceInvariants,
-                         ::testing::Range<std::uint64_t>(1, 13));
 
 // --- cache-policy invariants under random reference patterns --------------------
 

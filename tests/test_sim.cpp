@@ -76,11 +76,7 @@ TEST(RunMetrics, CacheHitRatio) {
 // --- SimDriver integration ---------------------------------------------------
 
 SimConfig single_executor_config() {
-  SimConfig config;
-  config.topology.racks = 1;
-  config.topology.nodes_per_rack = 1;
-  config.topology.executors_per_node = 1;
-  config.topology.cores_per_executor = Cpus{16};
+  SimConfig config = single_executor_pool(Cpus{16});
   config.topology.cache_bytes_per_executor = 64 * kMiB;
   config.hdfs.replication = 1;
   return config;
