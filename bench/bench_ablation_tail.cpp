@@ -153,7 +153,6 @@ TailPoint run_point(const Variant& v, double tail_prob,
                       "job '" << j.name << "' did not quiesce");
       out.jct_sec.push_back(to_seconds(j.jct()));
     }
-    // dagonlint: allow(float-accum): report-only mean over a fixed deterministic run order
     out.wasted_core_sec += m.hedge.wasted_core_seconds();
     out.hedges_launched += m.hedge.hedges_launched;
     out.hedges_won += m.hedge.hedges_won;

@@ -84,9 +84,7 @@ int main(int argc, char** argv) {
       std::int64_t recomputes = 0;
       for (std::uint64_t k = 0; k < kSeeds; ++k, ++r) {
         const RunMetrics& m = sweep.runs[r].metrics;
-        // dagonlint: allow(float-accum): report-only mean over a fixed deterministic run order
         jct_sum += to_seconds(m.jct);
-        // dagonlint: allow(float-accum): report-only mean over a fixed deterministic run order
         hit_sum += m.cache.hit_ratio();
         retries += m.faults.retries;
         recomputes += m.faults.lineage_recomputes;

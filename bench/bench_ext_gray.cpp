@@ -326,7 +326,6 @@ int main(int argc, char** argv) {
                 sum.rereplicated_bytes == f.rereplicated_bytes,
             sc.label, "per-executor re-replication counters diverge");
 
-      // dagonlint: allow(float-accum): report-only mean over a fixed deterministic run order
       jct_sum += to_seconds(m.jct);
       suspicions += f.suspicions;
       false_pos += f.false_suspicions;

@@ -47,7 +47,6 @@ int main(int argc, char** argv) {
     std::vector<std::string> row{scheduler_name(kind)};
     for (const JobCompletion& jc : done) {
       row.push_back(TextTable::num(to_seconds(jc.finish), 1));
-      // dagonlint: allow(float-accum): report-only mean over a fixed deterministic run order
       mean += to_seconds(jc.finish);
       csv.add_row({scheduler_name(kind), jc.name,
                    TextTable::num(to_seconds(jc.first_launch), 2),

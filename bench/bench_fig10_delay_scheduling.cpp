@@ -60,9 +60,7 @@ int main(int argc, char** argv) {
                    std::to_string(hl),
                    TextTable::num(m[i].cpu_utilization(), 3)});
     }
-    // dagonlint: allow(float-accum): report-only mean over a fixed deterministic run order
     sum_native += to_seconds(m[0].jct);
-    // dagonlint: allow(float-accum): report-only mean over a fixed deterministic run order
     sum_aware += to_seconds(m[1].jct);
     const auto hiloc = [](const RunMetrics& r) {
       return r.locality_count(Locality::Process) +

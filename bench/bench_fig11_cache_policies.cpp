@@ -61,9 +61,7 @@ int main(int argc, char** argv) {
                    std::to_string(m.cache.prefetches),
                    std::to_string(m.cache.proactive_evictions)});
     }
-    // dagonlint: allow(float-accum): report-only mean over a fixed deterministic run order
     mrd_sum += dagon_mrd;
-    // dagonlint: allow(float-accum): report-only mean over a fixed deterministic run order
     lrp_sum += dagon_lrp;
     jct_row.push_back(bench::delta(dagon_lrp, dagon_mrd));
     hits.add_row(hit_row);

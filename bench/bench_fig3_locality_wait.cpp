@@ -70,7 +70,6 @@ int main(int argc, char** argv) {
                                    m.locality_count(Locality::Node)));
     double sum = 0;
     for (std::int32_t s = 1; s <= 15; ++s) {
-      // dagonlint: allow(float-accum): report-only mean over a fixed deterministic run order
       sum += m.stage_duration_sec(StageId(s));
     }
     iters.push_back(TextTable::num(sum / 15.0, 2));

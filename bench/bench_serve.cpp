@@ -125,8 +125,6 @@ double percentile(std::vector<double> v, double p) {
 
 double jain_index(const std::vector<double>& v) {
   double sum = 0.0, sq = 0.0;
-  // dagonlint: allow(float-accum): reporting-only reduction over <=24
-  // JCTs in a fixed (job-index) order; never feeds back into the sim.
   for (double x : v) {
     sum += x;
     sq += x * x;

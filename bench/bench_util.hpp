@@ -15,10 +15,8 @@
 
 namespace dagon::bench {
 
-/// Options every bench harness shares. Defaults come from the
-/// environment (DAGON_JOBS / DAGON_OUT_DIR) so `for b in bench/*; do $b;
-/// done` sweeps can be steered without editing each invocation;
-/// command-line flags override.
+/// Options every bench harness shares, set from the command line by
+/// parse_args().
 struct BenchOptions {
   /// Worker threads for sweep-engine harnesses (1 = serial, 0 = #cores).
   std::size_t jobs = 1;
@@ -30,23 +28,12 @@ struct BenchOptions {
 
 inline BenchOptions& options() {
   // dagonlint: allow(unguarded-global): written only during single-threaded flag parsing in main; read-only once any pool starts
-  static BenchOptions opts = [] {
-    BenchOptions o;
-    // dagonlint: allow(nondet-source): bench harness knob, affects parallelism only, not sim state
-    if (const char* jobs = std::getenv("DAGON_JOBS")) {
-      o.jobs = static_cast<std::size_t>(std::atoll(jobs));
-    }
-    // dagonlint: allow(nondet-source): bench harness knob, affects output path only, not sim state
-    if (const char* dir = std::getenv("DAGON_OUT_DIR")) o.out_dir = dir;
-    // dagonlint: allow(nondet-source): bench harness knob, trims repetitions only, not sim state
-    if (std::getenv("DAGON_QUICK") != nullptr) o.quick = true;
-    return o;
-  }();
+  static BenchOptions opts;
   return opts;
 }
 
-/// Parses the shared bench flags (--jobs N, --out-dir DIR); exits with
-/// a usage message on anything unrecognized.
+/// Parses the shared bench flags (--jobs N, --out-dir DIR, --quick);
+/// exits with a usage message on anything unrecognized.
 inline void parse_args(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -67,11 +54,11 @@ inline void parse_args(int argc, char** argv) {
       std::cout << "usage: " << argv[0]
                 << " [--jobs N] [--out-dir DIR] [--quick]\n"
                    "  --jobs N      parallel sweep workers (0 = #cores) "
-                   "[env DAGON_JOBS; default 1]\n"
+                   "[default 1]\n"
                    "  --out-dir DIR write CSVs/JSON under DIR instead of "
-                   "the cwd [env DAGON_OUT_DIR]\n"
+                   "the cwd\n"
                    "  --quick       shrink the grid/sweep for CI smoke "
-                   "runs [env DAGON_QUICK]\n";
+                   "runs\n";
       std::exit(0);
     } else {
       std::cerr << "unknown argument " << arg << " (try --help)\n";
@@ -104,7 +91,7 @@ inline void experiment_header(const std::string& id,
   std::cout << "paper claim: " << claim << "\n\n";
 }
 
-/// CSV path helper; honors --out-dir / DAGON_OUT_DIR.
+/// CSV path helper; honors --out-dir.
 inline std::string csv_path(const std::string& name) {
   return out_path(name + ".csv");
 }

@@ -8,8 +8,8 @@
 //
 // Storage is a flat vector sorted by block id: caches hold at most a
 // few hundred blocks, so binary-search lookups beat hashing, and every
-// walk is in ascending block-id order by construction — no sorted_view
-// detour, no hash-order hazard.
+// walk is in ascending block-id order by construction — no hash-order
+// hazard.
 #pragma once
 
 #include <cstdint>

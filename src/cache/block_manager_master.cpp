@@ -31,22 +31,21 @@ BlockManagerMaster::BlockManagerMaster(const Topology& topo,
   suspect_.assign(topo.num_executors(), 0);
   disk_union_.resize(nb);
   disk_union_valid_.assign(nb, 0);
-  residency_.assign(nb, BlockResidency::Absent);
   // Input blocks are born on HDFS node disks: Disk is their *initial*
-  // lifecycle state, seeded directly (there is no edge into it from
-  // Absent — only produced blocks materialize).
+  // lifecycle state (there is no edge into it from Absent — only
+  // produced blocks materialize), so they are constructed Disk.
+  std::vector<BlockResidency> initial(nb, BlockResidency::Absent);
   for (const Rdd& rdd : dag.rdds()) {
     if (!rdd.is_input) continue;
     for (std::int32_t p = 0; p < rdd.num_partitions; ++p) {
       const BlockId block{rdd.id, p};
       if (!hdfs.replicas(block).empty()) {
-        // dagonlint: allow(raw-transition): initial-state seed, not a
-        // transition — input blocks are born Disk and no table edge
-        // leads there from Absent.
-        residency_[ord(block)] = BlockResidency::Disk;
+        initial[ord(block)] = BlockResidency::Disk;
       }
     }
   }
+  residency_ = std::vector<fsm::State<BlockResidency>>(initial.begin(),
+                                                       initial.end());
   // Cacheable input blocks start on HDFS disk with no memory copy: they
   // are the initial prefetch candidates (MRD pre-warms the first
   // stages' inputs this way).

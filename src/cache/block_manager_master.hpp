@@ -9,8 +9,8 @@
 //
 // All per-block state is stored in flat arrays indexed by the DAG's
 // dense block ordinal (JobDag::block_ord); ordinal order is ascending
-// BlockId order, so index-order walks are the deterministic walks the
-// sorted_view discipline used to provide (DESIGN.md §11).
+// BlockId order, so index-order walks are deterministic by construction
+// (DESIGN.md §11).
 #pragma once
 
 #include <optional>
@@ -249,9 +249,9 @@ class BlockManagerMaster {
   mutable std::vector<std::vector<NodeId>> disk_union_;
   mutable std::vector<char> disk_union_valid_;
   /// Shadow lifecycle state per block ordinal
-  /// (fsm::StateMachine<BlockResidency>); Absent until seeded/produced.
-  /// Every write flows through set_residency() / fsm::transition().
-  std::vector<BlockResidency> residency_;
+  /// (fsm::StateMachine<BlockResidency>): constructed Disk for input
+  /// blocks on HDFS, Absent otherwise; written only by set_residency().
+  std::vector<fsm::State<BlockResidency>> residency_;
   fsm::Violations* fsm_violations_ = nullptr;
   Counters counters_;
 };

@@ -6,8 +6,8 @@
 // lifecycle bug shipped so far was an illegal transition that nothing
 // checked. This header makes the legal edges single-source-of-truth:
 // each lifecycle enum gets a constexpr transition table in its
-// `StateMachine<E>` specialization, and every status write in the
-// engine flows through `fsm::transition()`.
+// `StateMachine<E>` specialization, and every lifecycle field is an
+// `fsm::State<E>`, which only `fsm::transition()` can write.
 //
 // Enforcement is two-tier:
 //   - debug builds (NDEBUG undefined) throw InvariantError naming the
@@ -18,9 +18,10 @@
 //     metrics_fingerprint so a violating run can never silently produce
 //     the same digest as a clean one.
 //
-// `dagonlint` closes the bypass hole statically (rule `raw-transition`),
-// and `dagonsim --dump-fsm <machine>` renders each table as Graphviz
-// DOT (checked into docs/fsm/, kept in sync by CI).
+// The compiler closes the bypass hole: `State<E>` reads as an `E` but
+// has no assignment operator (pinned by the Build.LifecycleField*
+// ctests). `dagonsim --dump-fsm <machine>` renders each table as
+// Graphviz DOT (checked into docs/fsm/, kept in sync by CI).
 #pragma once
 
 #include <array>
@@ -205,18 +206,44 @@ template <typename E>
   return msg;
 }
 
-/// The one sanctioned way to write a lifecycle field. Applies `to` and
-/// returns true when the edge is legal; otherwise throws (Strict) or
-/// counts the breach into `violations` and still applies the write
-/// (Count) so a release-build simulation keeps running — the fingerprint
-/// gate flags the run instead. `entity` names the task index, block or
-/// executor in diagnostics; pass -1 when there is no meaningful id.
 template <typename E>
-bool transition(E& current, E to, std::int64_t entity = -1,
-                Violations* violations = nullptr, Mode mode = Mode::Default) {
+class State;
+
+/// The one way to write a lifecycle field. Applies `to` and returns true
+/// when the edge is legal; otherwise throws (Strict) or counts the
+/// breach into `violations` and still applies the write (Count) so a
+/// release-build simulation keeps running — the fingerprint gate flags
+/// the run instead. `entity` names the task index, block or executor in
+/// diagnostics; pass -1 when there is no meaningful id.
+template <typename E>
+bool transition(State<E>& current, E to, std::int64_t entity = -1,
+                Violations* violations = nullptr, Mode mode = Mode::Default);
+
+/// A lifecycle field: reads as an `E`, is constructed in its initial
+/// state, and is written only by transition(). Copy-construction is
+/// kept (containers and snapshots copy it); copy-assignment is deleted,
+/// so `field = E::X` and `field = other` do not compile.
+template <typename E>
+class State {
+ public:
+  explicit constexpr State(E initial) : value_(initial) {}
+  State(const State&) = default;
+  State& operator=(const State&) = delete;
+
+  constexpr operator E() const { return value_; }
+
+ private:
+  friend bool transition<E>(State<E>&, E, std::int64_t, Violations*, Mode);
+
+  E value_;
+};
+
+template <typename E>
+bool transition(State<E>& current, E to, std::int64_t entity,
+                Violations* violations, Mode mode) {
   const E from = current;
   if (allowed(from, to)) {
-    current = to;
+    current.value_ = to;
     return true;
   }
 #ifdef NDEBUG
@@ -226,7 +253,7 @@ bool transition(E& current, E to, std::int64_t entity = -1,
 #endif
   if (strict) throw InvariantError(illegal_message(from, to, entity));
   if (violations != nullptr) ++violations->illegal;
-  current = to;
+  current.value_ = to;
   return false;
 }
 

@@ -15,7 +15,7 @@
 //
 // Heterogeneous mixes (time + bytes, bytes × time, double × q) do not
 // compile. The one escape hatch is `.count()`, which yields the raw
-// representation for I/O, hashing and sanctioned conversions — grep for
+// representation for I/O and sanctioned conversions — grep for
 // it to audit every exit from the type system.
 //
 // Overflow policy: debug builds trap on +, -, × overflow via
@@ -25,7 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <ostream>
 #include <type_traits>
 
@@ -219,15 +218,3 @@ struct CpuWorkTag {
 };
 
 }  // namespace dagon
-
-namespace std {
-
-/// Quantities hash as their representation (stable, allocator-free).
-template <typename Rep, typename Tag>
-struct hash<dagon::Quantity<Rep, Tag>> {
-  size_t operator()(dagon::Quantity<Rep, Tag> q) const noexcept {
-    return hash<Rep>{}(q.count());
-  }
-};
-
-}  // namespace std

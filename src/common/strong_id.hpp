@@ -7,7 +7,6 @@
 
 #include <compare>
 #include <cstdint>
-#include <functional>
 #include <ostream>
 
 namespace dagon {
@@ -55,14 +54,3 @@ using ExecutorId = StrongId<ExecutorTag>;
 using JobId = StrongId<JobTag>;
 
 }  // namespace dagon
-
-namespace std {
-
-template <typename Tag, typename Rep>
-struct hash<dagon::StrongId<Tag, Rep>> {
-  size_t operator()(dagon::StrongId<Tag, Rep> id) const noexcept {
-    return std::hash<Rep>{}(id.value());
-  }
-};
-
-}  // namespace std

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <ostream>
 
 #include "common/strong_id.hpp"
@@ -26,16 +25,3 @@ struct BlockId {
 };
 
 }  // namespace dagon
-
-namespace std {
-
-template <>
-struct hash<dagon::BlockId> {
-  size_t operator()(const dagon::BlockId& b) const noexcept {
-    const auto h1 = static_cast<size_t>(b.rdd.value());
-    const auto h2 = static_cast<size_t>(b.partition);
-    return h1 * 0x9e3779b97f4a7c15ULL ^ (h2 + (h1 << 6) + (h1 >> 2));
-  }
-};
-
-}  // namespace std

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <queue>
-#include <unordered_set>
 
 #include "common/error.hpp"
-#include "common/sorted_view.hpp"
 
 namespace dagon {
 
@@ -287,22 +285,24 @@ JobDag JobDagBuilder::build() {
   }
 
   // Transitive successor sets (the paper's SuccessorSet_i), computed in
-  // reverse topological order with set union.
+  // reverse topological order: each set is the children plus their
+  // (already complete) sets, sorted ascending and deduplicated.
   dag_.successor_sets_.assign(dag_.stages_.size(), {});
+  std::vector<StageId> acc;
   for (auto it = dag_.topo_order_.rbegin(); it != dag_.topo_order_.rend();
        ++it) {
     const Stage& s = dag_.stage(*it);
-    std::unordered_set<std::int32_t> acc;
+    acc.clear();
     for (const StageId c : s.children) {
-      acc.insert(c.value());
-      for (const StageId g :
-           dag_.successor_sets_[static_cast<std::size_t>(c.value())]) {
-        acc.insert(g.value());
-      }
+      acc.push_back(c);
+      const std::vector<StageId>& grand =
+          dag_.successor_sets_[static_cast<std::size_t>(c.value())];
+      acc.insert(acc.end(), grand.begin(), grand.end());
     }
-    auto& out = dag_.successor_sets_[static_cast<std::size_t>(s.id.value())];
-    out.reserve(acc.size());
-    for (const std::int32_t v : sorted_keys(acc)) out.push_back(StageId(v));
+    std::sort(acc.begin(), acc.end());
+    acc.erase(std::unique(acc.begin(), acc.end()), acc.end());
+    dag_.successor_sets_[static_cast<std::size_t>(s.id.value())].assign(
+        acc.begin(), acc.end());
   }
 
   // Dense block ordinals: prefix sums of partition counts in rdd-id

@@ -24,8 +24,9 @@ JobState::JobState(const JobDag& dag, const Topology& topo,
       }
     }
     rt.remaining_work = profile.workload(s.id, s.num_tasks);
-    rt.task_status.assign(static_cast<std::size_t>(s.num_tasks),
-                          TaskStatus::Pending);
+    rt.task_status = std::vector<fsm::State<TaskStatus>>(
+        static_cast<std::size_t>(s.num_tasks),
+        fsm::State<TaskStatus>(TaskStatus::Pending));
     rt.ready = s.parents.empty();
     rt.ready_time = rt.ready ? SimTime{0} : SimTime{-1};
     stages_.push_back(std::move(rt));

@@ -24,7 +24,7 @@ namespace dagon {
 struct TaskRuntime {
   StageId stage;
   std::int32_t index = -1;  // partition index within the stage
-  TaskStatus status = TaskStatus::Pending;
+  fsm::State<TaskStatus> status{TaskStatus::Pending};
   ExecutorId executor = ExecutorId::invalid();
   Locality locality = Locality::Any;
   SimTime launch_time{-1};
@@ -77,9 +77,8 @@ struct StageRuntime {
   std::vector<SimTime> finished_durations;
 
   /// Lifecycle state per task index (not per attempt: a speculative twin
-  /// shares its index's state). Every write flows through
-  /// fsm::transition() in job_state.cpp.
-  std::vector<TaskStatus> task_status;
+  /// shares its index's state). Written only by JobState::set_status.
+  std::vector<fsm::State<TaskStatus>> task_status;
 
   [[nodiscard]] bool has_pending() const { return !pending.empty(); }
 
@@ -96,8 +95,8 @@ struct ExecutorRuntime {
   /// Suspect while the failure detector sees missed heartbeats: the
   /// executor keeps its cores and running attempts — it may well recover
   /// — but receives no new launches and grants no locality preference.
-  /// Every write flows through fsm::transition() in the driver.
-  ExecutorHealth health = ExecutorHealth::Healthy;
+  /// Written only through fsm::transition() in the driver.
+  fsm::State<ExecutorHealth> health{ExecutorHealth::Healthy};
   /// End of blacklist probation; 0 when not blacklisted. A blacklisted
   /// executor receives no new launches until the probation expires.
   SimTime blacklisted_until{};

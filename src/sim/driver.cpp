@@ -6,7 +6,6 @@
 #include "common/error.hpp"
 #include "common/fsm.hpp"
 #include "common/log.hpp"
-#include "common/sorted_view.hpp"
 #include "dag/dag_analysis.hpp"
 #include "sched/task_locality.hpp"
 
@@ -172,8 +171,6 @@ void SimDriver::validate() const {
     throw ConfigError("speculation multiplier must be positive");
   }
   double tier_total = 0.0;
-  // dagonlint: allow(float-accum): config validation over a fixed,
-  // spec-ordered tier list; the sum never feeds back into the sim.
   for (const SimConfig::ExecTier& tier : config_.tail.tiers) {
     if (tier.fraction < 0.0 || tier.fraction > 1.0) {
       throw ConfigError("exec tier '" + tier.name +
@@ -817,20 +814,7 @@ void SimDriver::try_speculation(SimTime now) {
       }
     }
     if (has_copy) continue;
-    // Under faults the candidate's inputs may have just died with an
-    // executor; the recompute is pending and a copy launched now would
-    // read a missing block.
-    if (faults_active_) {
-      bool inputs_ok = true;
-      for (const TaskInput& in :
-           dag_->task_inputs(c.stage, c.task_index)) {
-        if (!master_.exists(in.block)) {
-          inputs_ok = false;
-          break;
-        }
-      }
-      if (!inputs_ok) continue;
-    }
+    if (faults_active_ && !inputs_exist(c.stage, c.task_index)) continue;
     // Place the copy on the free executor with the best locality for the
     // task's input data (§IV: "close to the input data"). Hedge mode
     // instead optimizes the straggler escape: never co-locate with a
@@ -918,16 +902,7 @@ void SimDriver::try_escalation(SimTime now) {
     }
     const Cpus demand = dag_->stage(s).task_cpus;
     const std::int32_t index = *rt.pending.begin();
-    if (faults_active_) {
-      bool inputs_ok = true;
-      for (const TaskInput& in : dag_->task_inputs(s, index)) {
-        if (!master_.exists(in.block)) {
-          inputs_ok = false;
-          break;
-        }
-      }
-      if (!inputs_ok) continue;
-    }
+    if (faults_active_ && !inputs_exist(s, index)) continue;
     // Only escalate onto a strictly faster tier — an escalation onto
     // baseline hardware is just a worse-locality ordinary launch.
     std::optional<Assignment> best;
@@ -1176,6 +1151,13 @@ bool SimDriver::has_live_attempt(StageId s, std::int32_t index) const {
     if (a.task.status == TaskStatus::Running) return true;
   }
   return false;
+}
+
+bool SimDriver::inputs_exist(StageId s, std::int32_t index) const {
+  for (const TaskInput& in : dag_->task_inputs(s, index)) {
+    if (!master_.exists(in.block)) return false;
+  }
+  return true;
 }
 
 bool SimDriver::defer_partitioned_report(const Event& e, SimTime now) {

@@ -82,6 +82,10 @@ class SimDriver {
   void recover_block(const BlockId& block, SimTime now);
   /// All task attempts of (s, index) currently in Running state?
   [[nodiscard]] bool has_live_attempt(StageId s, std::int32_t index) const;
+  /// Does every input block of (s, index) still exist somewhere? False
+  /// while a crash's lineage recompute is pending; a speculative copy or
+  /// an escalation launched then would read a missing block.
+  [[nodiscard]] bool inputs_exist(StageId s, std::int32_t index) const;
   // -- gray failures (heartbeats, suspicion, partitions, blacklist) -------
   /// A heartbeat emission from `exec` reached (or failed to reach, if
   /// partitioned) the driver; feeds the detector and re-arms the next

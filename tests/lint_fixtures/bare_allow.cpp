@@ -3,12 +3,10 @@
 #include <unordered_map>
 
 struct FixtureBare {
-  std::unordered_map<int, int> table_;
-
-  int sum() const {
-    int total = 0;
-    // dagonlint: allow(unordered-iter)
-    for (const auto& [k, v] : table_) total += v;
-    return total;
+  int size() const {
+    return static_cast<int>(table_.size());
   }
+
+  // dagonlint: allow(unordered-iter)
+  std::unordered_map<int, int> table_;
 };

@@ -1,4 +1,4 @@
-// dagonlint fixture: one unsuppressed unordered-iter violation (line 9).
+// dagonlint fixture: one unsuppressed unordered-iter violation (line 5).
 #include <unordered_map>
 
 struct FixtureTable {

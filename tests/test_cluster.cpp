@@ -4,7 +4,6 @@
 
 #include "cluster/cost_model.hpp"
 #include "cluster/hdfs.hpp"
-#include "common/sorted_view.hpp"
 #include "cluster/topology.hpp"
 #include "workloads/example_dag.hpp"
 

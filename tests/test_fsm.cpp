@@ -3,10 +3,12 @@
 // throwing under Mode::Strict with the machine/edge/entity named,
 // Mode::Count applying the write while charging the Violations sink,
 // the retry-reopen and suspect-re-admission round trips the engine
-// relies on, and the DOT rendering --dump-fsm prints.
+// relies on, the fsm::State<E> write surface, and the DOT rendering
+// --dump-fsm prints.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <type_traits>
 
 #include "common/error.hpp"
 #include "common/fsm.hpp"
@@ -21,7 +23,7 @@ using fsm::Violations;
 // Legal paths.
 
 TEST(FsmTask, FullRetryAndReopenRoundTrip) {
-  TaskStatus s = TaskStatus::Pending;
+  fsm::State s{TaskStatus::Pending};
   // Launch, fail, requeue, relaunch, finish: the retry loop.
   EXPECT_TRUE(fsm::transition(s, TaskStatus::Running));
   EXPECT_TRUE(fsm::transition(s, TaskStatus::Failed));
@@ -34,7 +36,7 @@ TEST(FsmTask, FullRetryAndReopenRoundTrip) {
 }
 
 TEST(FsmBlock, MaterializeEvictReadmitAndLoseRecompute) {
-  BlockResidency r = BlockResidency::Absent;
+  fsm::State r{BlockResidency::Absent};
   EXPECT_TRUE(fsm::transition(r, BlockResidency::Materializing));
   EXPECT_TRUE(fsm::transition(r, BlockResidency::Memory));  // admitted
   EXPECT_TRUE(fsm::transition(r, BlockResidency::Evicted));
@@ -47,14 +49,14 @@ TEST(FsmBlock, MaterializeEvictReadmitAndLoseRecompute) {
 }
 
 TEST(FsmBlock, DiskAndEvictedCopiesCanDie) {
-  BlockResidency r = BlockResidency::Disk;
-  EXPECT_TRUE(fsm::transition(r, BlockResidency::Lost));
-  r = BlockResidency::Evicted;
-  EXPECT_TRUE(fsm::transition(r, BlockResidency::Lost));
+  fsm::State disk{BlockResidency::Disk};
+  EXPECT_TRUE(fsm::transition(disk, BlockResidency::Lost));
+  fsm::State evicted{BlockResidency::Evicted};
+  EXPECT_TRUE(fsm::transition(evicted, BlockResidency::Lost));
 }
 
 TEST(FsmExecutor, SuspectReadmissionThenDeath) {
-  ExecutorHealth h = ExecutorHealth::Healthy;
+  fsm::State h{ExecutorHealth::Healthy};
   // Gray band round trip: suspected, heartbeats back, suspected again,
   // finally declared dead.
   EXPECT_TRUE(fsm::transition(h, ExecutorHealth::Suspect));
@@ -65,7 +67,7 @@ TEST(FsmExecutor, SuspectReadmissionThenDeath) {
 }
 
 TEST(FsmExecutor, HardCrashSkipsTheGrayBand) {
-  ExecutorHealth h = ExecutorHealth::Healthy;
+  fsm::State h{ExecutorHealth::Healthy};
   EXPECT_TRUE(fsm::transition(h, ExecutorHealth::Dead));
 }
 
@@ -73,7 +75,7 @@ TEST(FsmExecutor, HardCrashSkipsTheGrayBand) {
 // Illegal edges: Strict throws with a message naming the edge.
 
 TEST(FsmStrict, IllegalTaskEdgeThrowsNamingMachineEdgeAndEntity) {
-  TaskStatus s = TaskStatus::Pending;
+  fsm::State s{TaskStatus::Pending};
   try {
     fsm::transition(s, TaskStatus::Finished, 42, nullptr, Mode::Strict);
     FAIL() << "Pending -> Finished must not be accepted";
@@ -88,7 +90,7 @@ TEST(FsmStrict, IllegalTaskEdgeThrowsNamingMachineEdgeAndEntity) {
 }
 
 TEST(FsmStrict, DeadExecutorIsTerminal) {
-  ExecutorHealth h = ExecutorHealth::Dead;
+  fsm::State h{ExecutorHealth::Dead};
   EXPECT_THROW(
       fsm::transition(h, ExecutorHealth::Healthy, 3, nullptr, Mode::Strict),
       InvariantError);
@@ -99,14 +101,14 @@ TEST(FsmStrict, DeadExecutorIsTerminal) {
 }
 
 TEST(FsmStrict, EvictionRequiresAMemoryCopy) {
-  BlockResidency r = BlockResidency::Disk;
+  fsm::State r{BlockResidency::Disk};
   EXPECT_THROW(
       fsm::transition(r, BlockResidency::Evicted, -1, nullptr, Mode::Strict),
       InvariantError);
 }
 
 TEST(FsmStrict, NegativeEntityIsOmittedFromTheMessage) {
-  TaskStatus s = TaskStatus::Running;
+  fsm::State s{TaskStatus::Running};
   try {
     fsm::transition(s, TaskStatus::Running, -1, nullptr, Mode::Strict);
     FAIL() << "self-loop Running -> Running is not in the table";
@@ -123,7 +125,7 @@ TEST(FsmStrict, NegativeEntityIsOmittedFromTheMessage) {
 
 TEST(FsmCount, BreachIsCountedAndWriteApplied) {
   Violations sink;
-  TaskStatus s = TaskStatus::Pending;
+  fsm::State s{TaskStatus::Pending};
   EXPECT_FALSE(fsm::transition(s, TaskStatus::Finished, 7, &sink,
                                Mode::Count));
   EXPECT_EQ(s, TaskStatus::Finished);
@@ -136,10 +138,33 @@ TEST(FsmCount, BreachIsCountedAndWriteApplied) {
 }
 
 TEST(FsmCount, NullSinkIsTolerated) {
-  ExecutorHealth h = ExecutorHealth::Dead;
+  fsm::State h{ExecutorHealth::Dead};
   EXPECT_FALSE(
       fsm::transition(h, ExecutorHealth::Healthy, -1, nullptr, Mode::Count));
   EXPECT_EQ(h, ExecutorHealth::Healthy);
+}
+
+// ---------------------------------------------------------------------------
+// fsm::State<E>: reads as E, constructed in its initial state, written
+// only by transition(). The Build.LifecycleField* ctests check the same
+// thing on a real field by compiling a direct assignment.
+
+TEST(FsmState, ReadsAsEnumAndOnlyTransitionWrites) {
+  using TaskState = fsm::State<TaskStatus>;
+  static_assert(std::is_convertible_v<TaskState, TaskStatus>);
+  static_assert(std::is_copy_constructible_v<TaskState>);
+  static_assert(!std::is_convertible_v<TaskStatus, TaskState>);
+  static_assert(!std::is_default_constructible_v<TaskState>);
+  static_assert(!std::is_assignable_v<TaskState&, TaskStatus>);
+  static_assert(!std::is_copy_assignable_v<TaskState>);
+  static_assert(!std::is_move_assignable_v<TaskState>);
+  static_assert(sizeof(TaskState) == sizeof(TaskStatus));
+
+  const TaskState initial{TaskStatus::Running};
+  TaskState copy = initial;
+  EXPECT_TRUE(fsm::transition(copy, TaskStatus::Finished));
+  EXPECT_EQ(copy, TaskStatus::Finished);
+  EXPECT_EQ(initial, TaskStatus::Running);
 }
 
 // ---------------------------------------------------------------------------

@@ -204,5 +204,46 @@ TEST_P(OracleInvariants, RefCountsNeverGoNegativeAndReachZero) {
 INSTANTIATE_TEST_SUITE_P(Seeds, OracleInvariants,
                          ::testing::Range<std::uint64_t>(200, 210));
 
+// --- successor sets (the paper's SuccessorSet_i) --------------------------------
+
+class SuccessorSetInvariants
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+// JobDagBuilder::build() unions the children's sets in reverse
+// topological order; an independent DFS over `children` must reach
+// exactly the same stages, and the stored list must be ascending with
+// no duplicates (the order pv sums and Table III walk it in).
+TEST_P(SuccessorSetInvariants, EqualsAscendingDfsClosure) {
+  Rng rng(GetParam());
+  RandomDagParams p;
+  p.min_stages = 8;
+  p.max_stages = 40;
+  p.max_parents = 4;
+  p.max_tasks = 2;
+  const Workload w = make_random_dag(rng, p);
+  const JobDag& dag = w.dag;
+  for (const Stage& s : dag.stages()) {
+    std::vector<char> reached(dag.num_stages(), 0);
+    std::vector<StageId> stack(s.children.begin(), s.children.end());
+    while (!stack.empty()) {
+      const StageId id = stack.back();
+      stack.pop_back();
+      char& seen = reached[static_cast<std::size_t>(id.value())];
+      if (seen != 0) continue;
+      seen = 1;
+      const std::vector<StageId>& next = dag.stage(id).children;
+      stack.insert(stack.end(), next.begin(), next.end());
+    }
+    std::vector<StageId> closure;
+    for (std::size_t i = 0; i < reached.size(); ++i) {
+      if (reached[i] != 0) closure.emplace_back(static_cast<std::int32_t>(i));
+    }
+    EXPECT_EQ(dag.successor_set(s.id), closure) << "stage " << s.id;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SuccessorSetInvariants,
+                         ::testing::Range<std::uint64_t>(300, 310));
+
 }  // namespace
 }  // namespace dagon

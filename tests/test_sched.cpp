@@ -490,11 +490,11 @@ TEST_F(SchedFixture, SpeculationFlagsStragglers) {
   std::vector<TaskRuntime> running(1);
   running[0].stage = StageId(0);
   running[0].index = 2;
-  running[0].status = TaskStatus::Running;
+  fsm::transition(running[0].status, TaskStatus::Running);
   running[0].launch_time = SimTime{0};
 
   const auto candidates =
-      speculation_candidates(state_, running, config, 60 * kSec);
+      speculation_candidates(state_, running, {}, config, 60 * kSec);
   ASSERT_EQ(candidates.size(), 1u);
   EXPECT_EQ(candidates[0].task_index, 2);
   EXPECT_EQ(candidates[0].threshold, 15 * kSec);
@@ -515,13 +515,13 @@ TEST_F(SchedFixture, SpeculationMedianAveragesEvenSampleCounts) {
   std::vector<TaskRuntime> running(1);
   running[0].stage = StageId(0);
   running[0].index = 2;
-  running[0].status = TaskStatus::Running;
+  fsm::transition(running[0].status, TaskStatus::Running);
   running[0].launch_time = SimTime{0};
 
   EXPECT_TRUE(
-      speculation_candidates(state_, running, config, 5 * kSec).empty());
+      speculation_candidates(state_, running, {}, config, 5 * kSec).empty());
   const auto candidates =
-      speculation_candidates(state_, running, config, 5 * kSec + kMsec);
+      speculation_candidates(state_, running, {}, config, 5 * kSec + kMsec);
   ASSERT_EQ(candidates.size(), 1u);
   EXPECT_EQ(candidates[0].threshold, 5 * kSec);
 }
@@ -535,10 +535,10 @@ TEST_F(SchedFixture, SpeculationRespectsQuantileGate) {
   rt.finished_durations = {kSec, kSec};
   std::vector<TaskRuntime> running(1);
   running[0].stage = StageId(0);
-  running[0].status = TaskStatus::Running;
+  fsm::transition(running[0].status, TaskStatus::Running);
   running[0].launch_time = SimTime{0};
   EXPECT_TRUE(
-      speculation_candidates(state_, running, config, kMinute).empty());
+      speculation_candidates(state_, running, {}, config, kMinute).empty());
 }
 
 TEST_F(SchedFixture, SpeculationIgnoresSpeculativeAttempts) {
@@ -550,20 +550,20 @@ TEST_F(SchedFixture, SpeculationIgnoresSpeculativeAttempts) {
   rt.finished_durations = {kSec, kSec};
   std::vector<TaskRuntime> running(1);
   running[0].stage = StageId(0);
-  running[0].status = TaskStatus::Running;
+  fsm::transition(running[0].status, TaskStatus::Running);
   running[0].launch_time = SimTime{0};
   running[0].speculative = true;
   EXPECT_TRUE(
-      speculation_candidates(state_, running, config, kMinute).empty());
+      speculation_candidates(state_, running, {}, config, kMinute).empty());
 }
 
 TEST_F(SchedFixture, SpeculationDisabled) {
   const SpeculationConfig config;  // enabled = false
   std::vector<TaskRuntime> running(1);
   running[0].stage = StageId(0);
-  running[0].status = TaskStatus::Running;
+  fsm::transition(running[0].status, TaskStatus::Running);
   EXPECT_TRUE(
-      speculation_candidates(state_, running, config, kMinute).empty());
+      speculation_candidates(state_, running, {}, config, kMinute).empty());
 }
 
 }  // namespace

@@ -2,7 +2,6 @@
 // metrics, and full SimDriver runs over small DAGs.
 #include <gtest/gtest.h>
 
-#include "common/sorted_view.hpp"
 #include "core/runner.hpp"
 #include "sim/driver.hpp"
 #include "sim/event_queue.hpp"

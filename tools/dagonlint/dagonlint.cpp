@@ -11,26 +11,24 @@
 // It is a token-level (AST-lite) scanner — no libclang, no compile
 // database — over the rules in kRules:
 //
-//   unordered-iter   range/iterator iteration over std::unordered_map /
-//                    std::unordered_set outside dagon::sorted_view() /
-//                    sorted_keys(). Hash-walk order is the number-one
-//                    fingerprint hazard (DESIGN.md §9).
+//   unordered-iter   any std::unordered_map / unordered_set token. Hash
+//                    order is the number-one fingerprint hazard
+//                    (DESIGN.md §9), so the tree keeps no hash
+//                    containers at all: sorted vectors, std::map/set and
+//                    dense ordinal arrays iterate in key order by
+//                    construction.
 //   nondet-source    rand()/srand(), std::random_device, time(),
 //                    std::chrono::system_clock, getenv: ambient
 //                    nondeterminism outside the seeded RNG streams.
 //   ptr-order        ordering or hashing pointer *values*
 //                    (std::less/greater/hash over T*, uintptr_t
 //                    reinterpret_casts): allocator-dependent order.
-//   float-accum      uncommented float/double accumulation in loops:
-//                    FP addition is not associative, so a reduction's
-//                    value depends on its order. A justifying comment
-//                    on the same or preceding line satisfies the rule.
-//   raw-transition   direct assignment to a lifecycle field (status /
-//                    state / health / residency, and _-suffixed member
-//                    or prefixed forms). Every lifecycle write must go
-//                    through fsm::transition() so illegal edges throw
-//                    (debug) or count (release) instead of silently
-//                    corrupting the run.
+//
+// Lifecycle writes and FP reduction order need no rule: lifecycle fields
+// are fsm::State<E>, which only fsm::transition() can write, and FP
+// additions keep source order (the build never enables -ffast-math)
+// while the rules here fix loop order (no hash walks, no pointer order,
+// no racing captures).
 //
 // The unit-safety rules guard the dagonunits strong-type layer
 // (common/quantity.hpp): the compiler rejects dimensionally invalid
@@ -144,12 +142,8 @@ struct Rule {
 };
 
 // Exemptions, with rationale:
-//  * common/sorted_view.hpp IS the sanctioned unordered walk (it erases
-//    the order with a sort before anything observes it);
 //  * common/rng.* is the seeded RNG implementation itself;
 //  * tools/ is off the decision path (CLIs may read argv/env freely);
-//  * sim/metrics.* is the sanctioned home of FP reductions — every
-//    derived metric is computed there, in one fixed order;
 //  * common/ is where the unit strong types, named scale constants and
 //    sanctioned converters are *defined*, so the declaration/conversion
 //    unit rules do not apply there;
@@ -157,9 +151,10 @@ struct Rule {
 //    multiply itself, so overflow-mul does not apply there.
 const Rule kRules[] = {
     {"unordered-iter",
-     "iteration over an unordered container outside dagon::sorted_view()/"
-     "sorted_keys()",
-     {"common/sorted_view.hpp"}},
+     "hash container (std::unordered_map/unordered_set): its iteration "
+     "order is unspecified; use a sorted vector, std::map/set or a dense "
+     "ordinal array",
+     {}},
     {"nondet-source",
      "ambient nondeterminism source (rand/random_device/time/system_clock/"
      "getenv) outside the seeded RNG streams",
@@ -167,17 +162,9 @@ const Rule kRules[] = {
     {"ptr-order",
      "ordering or hashing raw pointer values (allocator-dependent order)",
      {}},
-    {"float-accum",
-     "uncomment-ed float/double accumulation in a loop (reduction order "
-     "hazard); add a justifying comment",
-     {"sim/metrics."}},
     {"bare-allow",
      "dagonlint: allow() without a one-line justification",
      {}},
-    {"raw-transition",
-     "direct assignment to a lifecycle field (status/state/health/"
-     "residency); route the write through fsm::transition()",
-     {"common/fsm.hpp"}},
     {"raw-unit-decl",
      "raw int64_t/long long declaration of a unit-suffixed name "
      "(*_us/*_usec/*_bytes/*_work); declare it SimTime/Bytes/CpuWork",
@@ -552,9 +539,6 @@ struct Finding {
 };
 
 struct Context {
-  /// Identifiers declared (anywhere in the scanned set) as unordered
-  /// containers, or accessors returning references to them.
-  std::set<std::string> unordered_names;
   /// Per-file allow() coverage, kept for the cross-file graph checks.
   std::map<std::string, std::set<std::pair<std::string, int>>> allowed_by_path;
   std::vector<Finding> findings;
@@ -573,54 +557,7 @@ void report(std::vector<Finding>& out, const FileScan& scan,
 }
 
 // ---------------------------------------------------------------------------
-// Pass A: collect unordered container / accessor names.
-
-void collect_unordered_names(const FileScan& scan, Context& ctx) {
-  const auto& toks = scan.tokens;
-  for (std::size_t i = 0; i < toks.size(); ++i) {
-    if (toks[i].kind != TokKind::Identifier ||
-        (toks[i].text != "unordered_map" &&
-         toks[i].text != "unordered_set")) {
-      continue;
-    }
-    std::size_t j = i + 1;
-    if (j >= toks.size() || toks[j].text != "<") continue;
-    // Skip the balanced template argument list.
-    int depth = 0;
-    while (j < toks.size()) {
-      if (toks[j].text == "<") ++depth;
-      if (toks[j].text == ">") {
-        --depth;
-        if (depth == 0) break;
-      }
-      ++j;
-    }
-    if (j >= toks.size()) continue;
-    ++j;
-    // Member-type uses (::const_iterator etc.) are not declarations.
-    if (j < toks.size() && toks[j].text == "::") continue;
-    while (j < toks.size() &&
-           (toks[j].text == "&" || toks[j].text == "*" ||
-            toks[j].text == "const")) {
-      ++j;
-    }
-    if (j >= toks.size() || toks[j].kind != TokKind::Identifier) continue;
-    const std::string& name = toks[j].text;
-    if (j + 1 < toks.size()) {
-      const std::string& next = toks[j + 1].text;
-      // Variable/member declaration, or accessor function returning a
-      // reference to the container — both make `name` an unordered
-      // iteration source wherever it appears.
-      if (next == ";" || next == "=" || next == "{" || next == "(" ||
-          next == ",") {
-        ctx.unordered_names.insert(name);
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Pass B helpers.
+// Per-file check helpers.
 
 std::size_t matching_close(const std::vector<Token>& toks, std::size_t open,
                            const char* open_t, const char* close_t) {
@@ -633,43 +570,6 @@ std::size_t matching_close(const std::vector<Token>& toks, std::size_t open,
     }
   }
   return toks.size();
-}
-
-struct LoopRegion {
-  std::size_t begin;
-  std::size_t end;  // inclusive token range of the loop body
-  int header_line;
-};
-
-/// Body token ranges of every for/while loop (including range-fors).
-std::vector<LoopRegion> loop_regions(const std::vector<Token>& toks) {
-  std::vector<LoopRegion> regions;
-  for (std::size_t i = 0; i < toks.size(); ++i) {
-    if (toks[i].kind != TokKind::Identifier ||
-        (toks[i].text != "for" && toks[i].text != "while")) {
-      continue;
-    }
-    if (i + 1 >= toks.size() || toks[i + 1].text != "(") continue;
-    const std::size_t close = matching_close(toks, i + 1, "(", ")");
-    if (close >= toks.size()) continue;
-    std::size_t body = close + 1;
-    if (body < toks.size() && toks[body].text == "{") {
-      const std::size_t end = matching_close(toks, body, "{", "}");
-      regions.push_back({body, end, toks[i].line});
-    } else {
-      std::size_t end = body;
-      while (end < toks.size() && toks[end].text != ";") ++end;
-      regions.push_back({body, end, toks[i].line});
-    }
-  }
-  return regions;
-}
-
-bool in_any_region(const std::vector<LoopRegion>& regions, std::size_t idx) {
-  return std::any_of(regions.begin(), regions.end(),
-                     [idx](const LoopRegion& r) {
-                       return idx >= r.begin && idx <= r.end;
-                     });
 }
 
 /// float/double variable + function names declared in `toks`.
@@ -713,72 +613,27 @@ bool unit_suffixed(const std::string& name) {
 }
 
 // ---------------------------------------------------------------------------
-// Pass B: rule checks. Each writes findings into `out` (per-file, so
+// Per-file rule checks. Each writes findings into `out` (per-file, so
 // the pass can run one file per thread; see run()).
 
-void check_unordered_iter(const FileScan& scan, const Context& ctx,
+void check_unordered_iter(const FileScan& scan,
                           const std::set<std::pair<std::string, int>>& ok,
                           std::vector<Finding>& out) {
-  const auto& toks = scan.tokens;
-  for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
-    // Range-for: for ( decl : range )
-    if (toks[i].kind == TokKind::Identifier && toks[i].text == "for" &&
-        toks[i + 1].text == "(") {
-      const std::size_t close = matching_close(toks, i + 1, "(", ")");
-      // Find the range `:` at parenthesis depth 1.
-      int depth = 0;
-      std::size_t colon = 0;
-      for (std::size_t j = i + 1; j < close; ++j) {
-        if (toks[j].text == "(" || toks[j].text == "[") ++depth;
-        if (toks[j].text == ")" || toks[j].text == "]") --depth;
-        if (toks[j].text == ":" && depth == 1) {
-          colon = j;
-          break;
-        }
-      }
-      if (colon == 0) continue;
-      bool sanctioned = false;
-      std::string culprit;
-      for (std::size_t j = colon + 1; j < close; ++j) {
-        if (toks[j].kind != TokKind::Identifier) continue;
-        if (toks[j].text == "sorted_view" || toks[j].text == "sorted_keys") {
-          sanctioned = true;
-          break;
-        }
-        // `map_[key]` / `map_.at(key)` range over an *element* of the
-        // container, not the container itself — no hash-order exposure.
-        const bool element_access =
-            j + 1 < close &&
-            (toks[j + 1].text == "[" ||
-             (toks[j + 1].text == "." && j + 2 < close &&
-              toks[j + 2].text == "at"));
-        if (culprit.empty() && !element_access &&
-            ctx.unordered_names.count(toks[j].text) != 0) {
-          culprit = toks[j].text;
-        }
-      }
-      if (!sanctioned && !culprit.empty()) {
-        report(out, scan, ok, toks[i].line, "unordered-iter",
-               "range-for over unordered container '" + culprit +
-                   "'; iterate dagon::sorted_view()/sorted_keys() instead");
-      }
+  int last_line = 0;
+  for (const Token& t : scan.tokens) {
+    if (t.kind != TokKind::Identifier || t.line == last_line ||
+        (t.text != "unordered_map" && t.text != "unordered_set" &&
+         t.text != "unordered_multimap" && t.text != "unordered_multiset")) {
       continue;
     }
-    // Iterator walk: <unordered>.begin() / .cbegin() / .rbegin()
-    if (toks[i].kind == TokKind::Identifier &&
-        ctx.unordered_names.count(toks[i].text) != 0 &&
-        toks[i + 1].text == "." && i + 2 < toks.size() &&
-        (toks[i + 2].text == "begin" || toks[i + 2].text == "cbegin" ||
-         toks[i + 2].text == "rbegin") &&
-        i + 3 < toks.size() && toks[i + 3].text == "(") {
-      report(out, scan, ok, toks[i].line, "unordered-iter",
-             "iterator walk over unordered container '" + toks[i].text +
-                 "'; iterate dagon::sorted_view()/sorted_keys() instead");
-    }
+    last_line = t.line;
+    report(out, scan, ok, t.line, "unordered-iter",
+           "std::" + t.text + " iterates in unspecified hash order; use a "
+               "sorted vector, std::map/std::set or a dense ordinal array");
   }
 }
 
-void check_nondet_source(const FileScan& scan, const Context&,
+void check_nondet_source(const FileScan& scan,
                          const std::set<std::pair<std::string, int>>& ok,
                          std::vector<Finding>& out) {
   const auto& toks = scan.tokens;
@@ -805,7 +660,7 @@ void check_nondet_source(const FileScan& scan, const Context&,
   }
 }
 
-void check_ptr_order(const FileScan& scan, const Context&,
+void check_ptr_order(const FileScan& scan,
                      const std::set<std::pair<std::string, int>>& ok,
                      std::vector<Finding>& out) {
   const auto& toks = scan.tokens;
@@ -838,105 +693,10 @@ void check_ptr_order(const FileScan& scan, const Context&,
   }
 }
 
-void check_float_accum(const FileScan& scan, const Context&,
-                       const std::set<std::pair<std::string, int>>& ok,
-                       std::vector<Finding>& out) {
-  const auto& toks = scan.tokens;
-  const std::vector<LoopRegion> loops = loop_regions(toks);
-  const std::set<std::string> floats = float_names(toks);
-  for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
-    if (toks[i].kind != TokKind::Identifier ||
-        floats.count(toks[i].text) == 0) {
-      continue;
-    }
-    const std::string& op = toks[i + 1].text;
-    if (op != "+=" && op != "-=") continue;
-    if (!in_any_region(loops, i)) continue;
-    // "Uncommented" is the offense: a justifying comment on the line,
-    // the line above, or directly above an enclosing loop's header (the
-    // document-the-reduction-before-the-loop idiom) satisfies the rule.
-    const auto has_comment = [&](int l) {
-      return l >= 1 && static_cast<std::size_t>(l) < scan.comments.size() &&
-             !scan.comments[static_cast<std::size_t>(l)].empty();
-    };
-    bool commented =
-        has_comment(toks[i].line) || has_comment(toks[i].line - 1);
-    for (const LoopRegion& r : loops) {
-      if (commented) break;
-      if (i >= r.begin && i <= r.end) {
-        commented = has_comment(r.header_line) ||
-                    has_comment(r.header_line - 1);
-      }
-    }
-    if (commented) continue;
-    report(out, scan, ok, toks[i].line, "float-accum",
-           "floating-point accumulation into '" + toks[i].text +
-               "' in a loop; comment the reduction-order contract or move "
-               "it to sim/metrics");
-  }
-}
-
-/// True when `name` denotes a lifecycle field: status / state / health /
-/// residency, a `_`-suffixed member form of one (status_, health_), or
-/// a compound ending in one (task_status, task_status_).
-bool lifecycle_field_name(const std::string& name) {
-  static const std::string_view kBases[] = {"status", "state", "health",
-                                            "residency"};
-  std::string_view n = name;
-  if (!n.empty() && n.back() == '_') n.remove_suffix(1);
-  for (std::string_view base : kBases) {
-    if (n == base) return true;
-    if (n.size() > base.size() + 1 &&
-        n[n.size() - base.size() - 1] == '_' &&
-        n.substr(n.size() - base.size()) == base) {
-      return true;
-    }
-  }
-  return false;
-}
-
-void check_raw_transition(const FileScan& scan, const Context&,
-                          const std::set<std::pair<std::string, int>>& ok,
-                          std::vector<Finding>& out) {
-  const auto& toks = scan.tokens;
-  for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
-    if (toks[i].kind != TokKind::Identifier ||
-        !lifecycle_field_name(toks[i].text)) {
-      continue;
-    }
-    // Declarations set the *initial* state, which is not a transition:
-    // `TaskStatus status = ...` (prev is the type name or a closing
-    // template `>`), `auto& state = ...` (prev is `&`/`*`), and
-    // designated initializers `{.status = ...}` / `, .status = ...`.
-    if (i > 0) {
-      const Token& prev = toks[i - 1];
-      if (prev.kind == TokKind::Identifier || prev.text == ">" ||
-          prev.text == "&" || prev.text == "*") {
-        continue;
-      }
-      if (prev.text == "." && i > 1 &&
-          (toks[i - 2].text == "{" || toks[i - 2].text == ",")) {
-        continue;
-      }
-    }
-    // The write target may be an element: `task_status[i] = ...`.
-    std::size_t j = i + 1;
-    if (toks[j].text == "[") {
-      j = matching_close(toks, j, "[", "]");
-      if (j >= toks.size()) continue;
-      ++j;
-    }
-    if (j >= toks.size() || toks[j].text != "=") continue;
-    report(out, scan, ok, toks[i].line, "raw-transition",
-           "direct write to lifecycle field '" + toks[i].text +
-               "'; route the transition through fsm::transition()");
-  }
-}
-
 // ---------------------------------------------------------------------------
-// Pass B: unit-safety rule checks (the dagonunits companion rules).
+// Per-file unit-safety rule checks (the dagonunits companion rules).
 
-void check_raw_unit_decl(const FileScan& scan, const Context&,
+void check_raw_unit_decl(const FileScan& scan,
                          const std::set<std::pair<std::string, int>>& ok,
                          std::vector<Finding>& out) {
   const auto& toks = scan.tokens;
@@ -976,14 +736,13 @@ bool float_literal(const std::string& text) {
          text.find('E') != std::string::npos;
 }
 
-void check_narrowing_cast(const FileScan& scan, const Context& ctx,
+void check_narrowing_cast(const FileScan& scan,
                           const std::set<std::pair<std::string, int>>& ok,
                           std::vector<Finding>& out) {
   static const std::set<std::string> kIntTargets = {
       "int",      "long",     "short",    "char",     "unsigned",
       "int8_t",   "int16_t",  "int32_t",  "int64_t",  "uint8_t",
       "uint16_t", "uint32_t", "uint64_t", "size_t",   "ptrdiff_t"};
-  (void)ctx;
   // Float-declared names are collected per file: evidence must be local
   // (a `double` declared in an unrelated file must not poison casts of
   // identically named integer variables elsewhere).
@@ -1073,7 +832,7 @@ bool unit_context_line(const std::string& line) {
                      });
 }
 
-void check_magic_unit_constant(const FileScan& scan, const Context&,
+void check_magic_unit_constant(const FileScan& scan,
                                const std::set<std::pair<std::string, int>>&
                                    ok,
                                std::vector<Finding>& out) {
@@ -1134,7 +893,7 @@ bool quantity_operand_right(const std::vector<Token>& toks,
   return unit_suffixed(toks[last].text);
 }
 
-void check_overflow_mul(const FileScan& scan, const Context&,
+void check_overflow_mul(const FileScan& scan,
                         const std::set<std::pair<std::string, int>>& ok,
                         std::vector<Finding>& out) {
   const auto& toks = scan.tokens;
@@ -1163,7 +922,7 @@ void check_overflow_mul(const FileScan& scan, const Context&,
 }
 
 // ---------------------------------------------------------------------------
-// Pass B: concurrency-safety rule checks (the ThreadPool companions).
+// Per-file concurrency-safety rule checks (the ThreadPool companions).
 
 /// Guard evidence in a declaration: the token chain names a
 /// synchronization primitive or strips mutability entirely.
@@ -1185,7 +944,7 @@ bool decl_keyword(const std::string& t) {
   return kKeywords.count(t) != 0;
 }
 
-void check_unguarded_global(const FileScan& scan, const Context&,
+void check_unguarded_global(const FileScan& scan,
                             const std::set<std::pair<std::string, int>>& ok,
                             std::vector<Finding>& out) {
   const auto& toks = scan.tokens;
@@ -1312,7 +1071,7 @@ void check_unguarded_global(const FileScan& scan, const Context&,
   }
 }
 
-void check_unguarded_capture(const FileScan& scan, const Context&,
+void check_unguarded_capture(const FileScan& scan,
                              const std::set<std::pair<std::string, int>>& ok,
                              std::vector<Finding>& out) {
   const auto& toks = scan.tokens;
@@ -2093,13 +1852,7 @@ int run(const std::vector<std::string>& roots, Format format,
     return 0;
   }
 
-  // Pass A (serial, cross-file): the name collections every check reads.
-  Context ctx;
-  for (const FileScan& scan : scans) {
-    collect_unordered_names(scan, ctx);
-  }
-
-  // Pass B (parallel, per-file): every check writes into its own file's
+  // Per-file pass (parallel): every check writes into its own file's
   // slot; the in-order merge + (path, line, rule) sort below makes the
   // output byte-identical to a serial (--jobs=1) run.
   struct FileChecks {
@@ -2110,7 +1863,7 @@ int run(const std::vector<std::string>& roots, Format format,
   {
     dagon::ThreadPool pool(workers);
     for (std::size_t i = 0; i < scans.size(); ++i) {
-      pool.submit([&scans, &per_file, &ctx, i] {
+      pool.submit([&scans, &per_file, i] {
         const FileScan& scan = scans[i];
         FileChecks& fc = per_file[i];
         const std::vector<Allow> allows = parse_allows(scan);
@@ -2126,21 +1879,20 @@ int run(const std::vector<std::string>& roots, Format format,
                  "allow(" + a.rule + ") without a one-line justification"});
           }
         }
-        check_unordered_iter(scan, ctx, fc.ok, fc.findings);
-        check_nondet_source(scan, ctx, fc.ok, fc.findings);
-        check_ptr_order(scan, ctx, fc.ok, fc.findings);
-        check_float_accum(scan, ctx, fc.ok, fc.findings);
-        check_raw_transition(scan, ctx, fc.ok, fc.findings);
-        check_raw_unit_decl(scan, ctx, fc.ok, fc.findings);
-        check_narrowing_cast(scan, ctx, fc.ok, fc.findings);
-        check_magic_unit_constant(scan, ctx, fc.ok, fc.findings);
-        check_overflow_mul(scan, ctx, fc.ok, fc.findings);
-        check_unguarded_global(scan, ctx, fc.ok, fc.findings);
-        check_unguarded_capture(scan, ctx, fc.ok, fc.findings);
+        check_unordered_iter(scan, fc.ok, fc.findings);
+        check_nondet_source(scan, fc.ok, fc.findings);
+        check_ptr_order(scan, fc.ok, fc.findings);
+        check_raw_unit_decl(scan, fc.ok, fc.findings);
+        check_narrowing_cast(scan, fc.ok, fc.findings);
+        check_magic_unit_constant(scan, fc.ok, fc.findings);
+        check_overflow_mul(scan, fc.ok, fc.findings);
+        check_unguarded_global(scan, fc.ok, fc.findings);
+        check_unguarded_capture(scan, fc.ok, fc.findings);
       });
     }
     pool.wait();
   }
+  Context ctx;
   for (std::size_t i = 0; i < scans.size(); ++i) {
     ctx.findings.insert(ctx.findings.end(), per_file[i].findings.begin(),
                         per_file[i].findings.end());
