@@ -24,16 +24,15 @@
 // so every "peak RSS" is that point's own high-water mark. (ru_maxrss
 // is monotone for the life of a process: sampling it after each point
 // in one process reports the LARGEST point so far, not the current one
-// — ascending order only masked the bug, it did not fix it.) When fork
-// is unavailable the harness falls back to in-process runs and the JSON
-// labels the RSS numbers as cumulative. Prefetch is off (its scan is
-// O(executors) per tick and belongs to the cache plane, not the event
-// core being measured).
+// — ascending order only masked the bug, it did not fix it.) A point
+// whose child cannot be forked or does not report fails the run: a
+// checked-in ledger must not silently switch to cumulative RSS.
+// Prefetch is off (its scan is O(executors) per tick and belongs to the
+// cache plane, not the event core being measured).
 #include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cinttypes>
 #include <chrono>
 #include <cstdio>
@@ -109,10 +108,6 @@ double peak_rss_mb_now() {
   return static_cast<double>(usage.ru_maxrss) / 1024.0;
 }
 
-/// True when the per-point RSS numbers came from isolated child
-/// processes (accurate) rather than one cumulative process.
-std::atomic<bool> g_forked_rss{true};
-
 ScaleResult run_point(const ScalePoint& p) {
   const Workload w = make_scale_workload(p.fan_tasks);
   const SimConfig config = make_scale_config(p);
@@ -139,21 +134,13 @@ ScaleResult run_point(const ScalePoint& p) {
 
 /// Runs the point in a forked child and pipes the (trivially copyable)
 /// result back, so ru_maxrss — monotone per process — reflects only
-/// this point. Falls back to in-process on fork/pipe failure.
+/// this point.
 ScaleResult run_point_isolated(const ScalePoint& p) {
   static_assert(std::is_trivially_copyable_v<ScaleResult>);
   int fd[2];
-  if (pipe(fd) != 0) {
-    g_forked_rss = false;
-    return run_point(p);
-  }
+  DAGON_CHECK_MSG(pipe(fd) == 0, "pipe failed");
   const pid_t pid = fork();
-  if (pid < 0) {
-    close(fd[0]);
-    close(fd[1]);
-    g_forked_rss = false;
-    return run_point(p);
-  }
+  DAGON_CHECK_MSG(pid >= 0, "fork failed");
   if (pid == 0) {
     close(fd[0]);
     const ScaleResult r = run_point(p);
@@ -180,12 +167,10 @@ ScaleResult run_point_isolated(const ScalePoint& p) {
   close(fd[0]);
   int status = 0;
   waitpid(pid, &status, 0);
-  if (got != static_cast<ssize_t>(sizeof r) || !WIFEXITED(status) ||
-      WEXITSTATUS(status) != 0) {
-    // Child died before reporting: rerun here so the sweep completes.
-    g_forked_rss = false;
-    return run_point(p);
-  }
+  DAGON_CHECK_MSG(got == static_cast<ssize_t>(sizeof r) &&
+                      WIFEXITED(status) && WEXITSTATUS(status) == 0,
+                  "scale point " << p.racks * p.nodes_per_rack * 4
+                                 << " executors: child did not report");
   return r;
 }
 
@@ -235,17 +220,12 @@ int main(int argc, char** argv) {
   json << "{\n"
        << "  \"quick\": " << (bench::options().quick ? "true" : "false")
        << ",\n"
+       << "  \"host\": " << bench::host_json() << ",\n"
        << "  \"workload\": \"src(32 HDFS parts) ->narrow prep(32) "
           "->shuffle fan(N, zero-output)\",\n"
        << "  \"prefetch_enabled\": false,\n"
-       << "  \"peak_rss_note\": \""
-       << (g_forked_rss
-               ? "each point ran in its own forked child process, so "
-                 "peak_rss_mb is that point's true high-water mark"
-               : "fork unavailable: points ran in one process, so "
-                 "peak_rss_mb is CUMULATIVE (ru_maxrss is monotone) and "
-                 "upper-bounds each point by the largest so far")
-       << "\",\n"
+       << "  \"peak_rss_note\": \"each point ran in its own forked child "
+          "process, so peak_rss_mb is that point's true high-water mark\",\n"
        << "  \"points\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const ScaleResult& r = results[i];

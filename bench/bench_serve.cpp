@@ -262,6 +262,7 @@ int main(int argc, char** argv) {
   json << "{\n"
        << "  \"quick\": " << (bench::options().quick ? "true" : "false")
        << ",\n"
+       << "  \"host\": " << bench::host_json() << ",\n"
        << "  \"workload\": \"ds(16x32MiB, shared, uncacheable) ->narrow "
           "{a,b} (cacheable 8MiB blocks) ->narrow join+agg (each reads "
           "a AND b: paired peer groups)\",\n"

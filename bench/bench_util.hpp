@@ -4,11 +4,14 @@
 // numbers into a CSV next to the binary so figures can be re-plotted.
 #pragma once
 
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/dagon.hpp"
@@ -32,6 +35,22 @@ inline BenchOptions& options() {
   return opts;
 }
 
+/// Parses a worker count: the whole value must be a non-negative
+/// integer. A negative one would wrap to SIZE_MAX workers and garbage
+/// would read as 0 (all cores), so both exit 2 instead.
+inline std::size_t parse_count(const std::string& flag,
+                               const std::string& v) {
+  errno = 0;
+  char* end = nullptr;
+  const long long x = std::strtoll(v.c_str(), &end, 10);
+  if (v.empty() || end != v.c_str() + v.size() || errno == ERANGE || x < 0) {
+    std::cerr << "malformed count '" << v << "' for " << flag
+              << " (want an integer >= 0)\n";
+    std::exit(2);
+  }
+  return static_cast<std::size_t>(x);
+}
+
 /// Parses the shared bench flags (--jobs N, --out-dir DIR, --quick);
 /// exits with a usage message on anything unrecognized.
 inline void parse_args(int argc, char** argv) {
@@ -45,7 +64,7 @@ inline void parse_args(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--jobs" || arg == "-j") {
-      options().jobs = static_cast<std::size_t>(std::atoll(next().c_str()));
+      options().jobs = parse_count(arg, next());
     } else if (arg == "--out-dir") {
       options().out_dir = next();
     } else if (arg == "--quick") {
@@ -73,6 +92,25 @@ inline std::string out_path(const std::string& filename) {
   if (options().out_dir.empty()) return filename;
   std::filesystem::create_directories(options().out_dir);
   return (std::filesystem::path(options().out_dir) / filename).string();
+}
+
+/// The host block of a checked-in BENCH_*.json ledger, as one JSON
+/// object: CPU model, hardware threads, compiler and build type. The
+/// last two are stamped in by bench/CMakeLists.txt.
+inline std::string host_json() {
+  std::string cpu = "unknown";
+  std::ifstream info("/proc/cpuinfo");
+  for (std::string line; std::getline(info, line);) {
+    if (line.rfind("model name", 0) == 0) {
+      cpu = line.substr(line.find(':') + 2);
+      break;
+    }
+  }
+  std::erase_if(cpu, [](char c) { return c == '"' || c == '\\'; });
+  return "{\"cpu_model\": \"" + cpu + "\", \"hardware_threads\": " +
+         std::to_string(std::thread::hardware_concurrency()) +
+         ", \"compiler\": \"" DAGON_BENCH_COMPILER
+         "\", \"build_type\": \"" DAGON_BENCH_BUILD_TYPE "\"}";
 }
 
 /// The benchmark cluster: the paper's 18-node testbed. Workloads run at

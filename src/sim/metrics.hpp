@@ -258,7 +258,7 @@ class RunMetrics {
   Cpus total_cores{};
 
   /// Number of discrete events the driver processed — the denominator
-  /// of the simulator-throughput (events/sec) figure bench_perf reports.
+  /// of the simulator-throughput (events/sec) figure bench_scale reports.
   /// Deterministic for a fixed config (unlike wall-clock time).
   std::int64_t sim_events = 0;
 
@@ -309,7 +309,7 @@ class RunMetrics {
 /// histogram, busy/running/reserved timelines and the event count. Two
 /// runs with equal fingerprints produced bit-identical metrics — this is
 /// how the sweep engine's determinism guarantee (parallel == serial) is
-/// checked in tests and bench_perf.
+/// checked in tests, and how CI checks the BENCH_*.json goldens.
 [[nodiscard]] std::uint64_t metrics_fingerprint(const RunMetrics& m);
 
 }  // namespace dagon

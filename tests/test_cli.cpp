@@ -1,6 +1,7 @@
 // Drives the dagonsim binary end-to-end: flag hardening (unknown /
 // duplicate / malformed values exit 2 on the ConfigError path), valid
 // runs exit 0, and --fingerprint is stable across identical invocations.
+// One case drives a bench harness to pin the shared bench flag parser.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -17,9 +18,9 @@ struct CliResult {
   std::string output;
 };
 
-/// Runs the binary with `args`, capturing stdout+stderr and exit code.
-CliResult run_cli(const std::string& args) {
-  const std::string cmd = std::string(DAGONSIM_PATH) + " " + args + " 2>&1";
+/// Runs `binary` with `args`, capturing stdout+stderr and exit code.
+CliResult run_binary(const std::string& binary, const std::string& args) {
+  const std::string cmd = binary + " " + args + " 2>&1";
   FILE* pipe = popen(cmd.c_str(), "r");
   EXPECT_NE(pipe, nullptr) << "failed to launch " << cmd;
   CliResult r;
@@ -31,6 +32,10 @@ CliResult run_cli(const std::string& args) {
   const int status = pclose(pipe);
   r.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
   return r;
+}
+
+CliResult run_cli(const std::string& args) {
+  return run_binary(DAGONSIM_PATH, args);
 }
 
 /// A fast valid run: tiny workload on the small case-study cluster.
@@ -97,8 +102,21 @@ TEST(Cli, MalformedValuesExitTwo) {
            "--heartbeat-interval -",
            "--blacklist-threshold 2.5",
            "--preset nope",
+           "--repeat -1",      // would wrap to SIZE_MAX copies
+           "--jobs -1",        // would wrap to SIZE_MAX threads
+           "--serve-jobs -1",  // would wrap to SIZE_MAX instances
        }) {
     const CliResult r = run_cli(args);
+    EXPECT_EQ(r.exit_code, 2) << args << "\n" << r.output;
+  }
+}
+
+// The bench harnesses share bench_util.hpp's flag parser: a negative or
+// malformed --jobs is a usage error there too, not SIZE_MAX (or "all
+// cores") sweep workers.
+TEST(Cli, BenchMalformedJobsExitTwo) {
+  for (const char* args : {"--jobs -1", "--jobs two", "--jobs 3x"}) {
+    const CliResult r = run_binary(BENCH_TABLE3_PATH, args);
     EXPECT_EQ(r.exit_code, 2) << args << "\n" << r.output;
   }
 }

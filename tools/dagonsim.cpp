@@ -85,6 +85,14 @@ std::int64_t parse_int(const std::string& flag, const std::string& v) {
   return x;
 }
 
+/// A count flag (--repeat, --jobs, --serve-jobs): a negative value
+/// would wrap to SIZE_MAX when cast, so it is a config error here.
+std::size_t parse_count(const std::string& flag, const std::string& v) {
+  const std::int64_t count = parse_int(flag, v);
+  if (count < 0) usage_error("negative count '" + v + "' for " + flag);
+  return static_cast<std::size_t>(count);
+}
+
 /// Splits a colon-separated fault spec and bounds the field count.
 std::vector<std::string> parse_spec(const std::string& flag,
                                     const std::string& v,
@@ -301,10 +309,10 @@ int main(int argc, char** argv) {
     } else if (arg == "--out-dir") {
       opt.out_dir = next();
     } else if (arg == "--repeat") {
-      opt.repeat = static_cast<std::size_t>(parse_int(arg, next()));
+      opt.repeat = parse_count(arg, next());
       if (opt.repeat == 0) opt.repeat = 1;
     } else if (arg == "--jobs") {
-      opt.jobs = static_cast<std::size_t>(parse_int(arg, next()));
+      opt.jobs = parse_count(arg, next());
     } else if (arg == "--fault-crash") {
       const auto f = parse_spec(arg, next(), 1, 2);
       ExecutorCrashSpec crash;
@@ -405,7 +413,7 @@ int main(int argc, char** argv) {
       opt.tail.escalation_wait = from_seconds(parse_double(arg, next()));
       opt.tail.escalate = true;
     } else if (arg == "--serve-jobs") {
-      opt.serve_jobs = static_cast<std::size_t>(parse_int(arg, next()));
+      opt.serve_jobs = parse_count(arg, next());
       if (opt.serve_jobs == 0) opt.serve_jobs = 1;
     } else if (arg == "--arrival") {
       const auto f = parse_spec(arg, next(), 1, 4);
