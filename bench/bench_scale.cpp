@@ -16,9 +16,12 @@
 // The fan stage carries the task count. It is a pure-shuffle consumer,
 // so every decision exercises the NO_PREF fast path plus the free-slot
 // executor index rather than the per-task locality scan. Keeping the
-// shuffle *parent* at 32 partitions matters: JobDag::task_inputs
-// enumerates every parent partition per consumer task, so a wide parent
-// would turn input assembly itself into the bottleneck being measured.
+// shuffle *parent* at 32 partitions matters: prep's output is persisted,
+// so a disk read may cache it and each fan task resolves its shuffle
+// read block by block (a lookup and a cache update per parent partition;
+// the per-RDD tally path only covers parents a read cannot cache), and a
+// wide parent would turn input resolution itself into the bottleneck
+// being measured.
 //
 // Each point runs in a forked child process and pipes its result back,
 // so every "peak RSS" is that point's own high-water mark. (ru_maxrss

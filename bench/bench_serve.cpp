@@ -147,7 +147,7 @@ ServePoint run_point(CachePolicyKind policy, double rate, std::int32_t jobs,
     instances.reserve(static_cast<std::size_t>(jobs));
     for (std::int32_t j = 0; j < jobs; ++j) {
       Workload w = make_serve_job();
-      w.name += "#" + std::to_string(j);
+      w.name.append("#").append(std::to_string(j));
       instances.push_back(std::move(w));
     }
     ArrivalSpec spec;

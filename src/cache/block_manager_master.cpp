@@ -34,7 +34,9 @@ BlockManagerMaster::BlockManagerMaster(const Topology& topo,
   // Input blocks are born on HDFS node disks: Disk is their *initial*
   // lifecycle state (there is no edge into it from Absent — only
   // produced blocks materialize), so they are constructed Disk.
+  // They are also the only disk copies to tally so far.
   std::vector<BlockResidency> initial(nb, BlockResidency::Absent);
+  tallies_ = Tallies(dag.rdds().size(), topo.num_nodes(), topo.num_racks());
   for (const Rdd& rdd : dag.rdds()) {
     if (!rdd.is_input) continue;
     for (std::int32_t p = 0; p < rdd.num_partitions; ++p) {
@@ -42,6 +44,7 @@ BlockManagerMaster::BlockManagerMaster(const Topology& topo,
       if (!hdfs.replicas(block).empty()) {
         initial[ord(block)] = BlockResidency::Disk;
       }
+      tally_disk(tallies_, block, 1);
     }
   }
   residency_ = std::vector<fsm::State<BlockResidency>>(initial.begin(),
@@ -57,6 +60,54 @@ BlockManagerMaster::BlockManagerMaster(const Topology& topo,
       }
     }
   }
+}
+
+void BlockManagerMaster::tally_disk(Tallies& t, const BlockId& block,
+                                    std::int32_t delta) const {
+  const std::size_t o = ord(block);
+  const auto r = static_cast<std::size_t>(block.rdd.value());
+  const std::vector<NodeId>& hdfs =
+      hdfs_->replicas_by_ord(static_cast<std::int64_t>(o));
+  const std::vector<NodeId>& produced = produced_disk_[o];
+  // The disk-node set is hdfs ∪ produced: count each distinct node, and
+  // each distinct rack, once.
+  const std::size_t total = hdfs.size() + produced.size();
+  const auto node_at = [&](std::size_t i) {
+    return i < hdfs.size() ? hdfs[i] : produced[i - hdfs.size()];
+  };
+  for (std::size_t i = 0; i < total; ++i) {
+    const NodeId n = node_at(i);
+    const RackId rack = topo_->rack_of(n);
+    bool seen_node = false;
+    bool seen_rack = false;
+    for (std::size_t j = 0; j < i; ++j) {
+      seen_node = seen_node || node_at(j) == n;
+      seen_rack = seen_rack || topo_->rack_of(node_at(j)) == rack;
+    }
+    if (!seen_node) {
+      t.on_node[r * topo_->num_nodes() +
+                static_cast<std::size_t>(n.value())] += delta;
+    }
+    if (!seen_rack) {
+      t.in_rack[r * topo_->num_racks() +
+                static_cast<std::size_t>(rack.value())] += delta;
+    }
+  }
+  if (total > 0) t.on_disk[r] += delta;
+}
+
+BlockManagerMaster::Tallies BlockManagerMaster::count_tallies() const {
+  Tallies t(dag_->rdds().size(), topo_->num_nodes(), topo_->num_racks());
+  for (const Rdd& rdd : dag_->rdds()) {
+    for (std::int32_t p = 0; p < rdd.num_partitions; ++p) {
+      const BlockId block{rdd.id, p};
+      tally_disk(t, block, 1);
+      if (!memory_copies_[ord(block)].empty()) {
+        ++t.in_memory[static_cast<std::size_t>(rdd.id.value())];
+      }
+    }
+  }
+  return t;
 }
 
 void BlockManagerMaster::index_prefetchable(std::size_t o) {
@@ -100,6 +151,8 @@ void BlockManagerMaster::set_residency(const BlockId& block,
 }
 
 void BlockManagerMaster::verify_residency() const {
+  DAGON_CHECK_MSG(tallies_ == count_tallies(),
+                  "per-RDD copy tallies diverge from the copy sets");
   for (std::int64_t o = 0; o < dag_->num_blocks(); ++o) {
     const BlockId block = dag_->block_at(o);
     const BlockResidency r = residency_[static_cast<std::size_t>(o)];
@@ -209,6 +262,27 @@ BlockManagerMaster::Lookup BlockManagerMaster::lookup(
   return best;
 }
 
+std::optional<BlockManagerMaster::DiskReadCounts>
+BlockManagerMaster::disk_only_read(RddId rdd, ExecutorId reader) const {
+  const Rdd& parent = dag_->rdd(rdd);
+  const auto r = static_cast<std::size_t>(rdd.value());
+  if (tallies_.in_memory[r] != 0 || (cache_enabled_ && parent.cacheable)) {
+    return std::nullopt;
+  }
+  DAGON_CHECK_MSG(tallies_.on_disk[r] == parent.num_partitions,
+                  "rdd " << rdd << " read before every partition exists");
+  const NodeId node = topo_->node_of(reader);
+  const RackId rack = topo_->rack_of(node);
+  const std::int32_t local =
+      tallies_.on_node[r * topo_->num_nodes() +
+                       static_cast<std::size_t>(node.value())];
+  const std::int32_t in_rack =
+      tallies_.in_rack[r * topo_->num_racks() +
+                       static_cast<std::size_t>(rack.value())];
+  return DiskReadCounts{local, in_rack - local,
+                        parent.num_partitions - in_rack};
+}
+
 void BlockManagerMaster::apply_insert(
     const BlockManager::InsertResult& result, const BlockId& block,
     ExecutorId exec) {
@@ -219,6 +293,9 @@ void BlockManagerMaster::apply_insert(
   const std::size_t o = ord(block);
   if (result.admitted) {
     auto& holders = memory_copies_[o];
+    if (holders.empty()) {
+      ++tallies_.in_memory[static_cast<std::size_t>(block.rdd.value())];
+    }
     if (std::find(holders.begin(), holders.end(), exec) == holders.end()) {
       holders.push_back(exec);
     }
@@ -250,6 +327,7 @@ void BlockManagerMaster::note_evicted(const BlockId& block, ExecutorId exec) {
   holders.erase(std::remove(holders.begin(), holders.end(), exec),
                 holders.end());
   if (holders.empty()) {
+    --tallies_.in_memory[static_cast<std::size_t>(block.rdd.value())];
     // Last memory copy gone; the durable disk copy keeps the block
     // recoverable (eviction is always safe, DESIGN.md §4).
     set_residency(block, BlockResidency::Evicted);
@@ -274,7 +352,9 @@ void BlockManagerMaster::on_block_produced(const BlockId& block,
     // candidate index in sync (unindex before, reindex after).
     const bool was_pf = prefetchable_[o] != 0;
     if (was_pf) unindex_prefetchable(o);
+    tally_disk(tallies_, block, -1);
     disks.push_back(node);
+    tally_disk(tallies_, block, 1);
     if (was_pf) index_prefetchable(o);
     disk_union_valid_[o] = 0;
   }
@@ -439,34 +519,33 @@ BlockManagerMaster::DropResult BlockManagerMaster::drop_executor(
     // new one (or not at all, if it ends up Lost).
     const bool was_pf = prefetchable_[o] != 0;
     if (was_pf) unindex_prefetchable(o);
+    tally_disk(tallies_, block, -1);
     disks = std::move(nodes);
     disk_union_valid_[o] = 0;
-
-    if (!disks.empty() ||
-        !hdfs_->replicas_by_ord(static_cast<std::int64_t>(o)).empty()) {
-      if (was_pf) index_prefetchable(o);
-      continue;  // a durable copy survives elsewhere
-    }
-    // Last disk copy gone. If some executor still caches the block,
+    const bool on_hdfs =
+        !hdfs_->replicas_by_ord(static_cast<std::int64_t>(o)).empty();
+    // Last disk copy gone, but some executor still caches the block:
     // immediately re-materialize a disk copy at that holder's node so
     // the eviction-is-always-safe invariant keeps holding.
     const auto& mem = memory_copies_[o];
-    if (!mem.empty()) {
+    if (disks.empty() && !on_hdfs && !mem.empty()) {
       const ExecutorId holder = *std::min_element(mem.begin(), mem.end());
       producers.push_back(holder);
       disks.push_back(topo_->node_of(holder));
-      disk_union_valid_[o] = 0;
       ++result.rereplicated;
-      if (was_pf) index_prefetchable(o);
-    } else {
-      // No copy anywhere: only lineage recomputation can bring it back.
-      // The memory-drop pass above already moved the block to Evicted if
-      // this executor held the last memory copy, so the edge here is
-      // Disk → Lost or Evicted → Lost.
-      set_residency(block, BlockResidency::Lost);
-      prefetchable_[o] = 0;  // already unindexed above (if flagged)
-      result.lost.push_back(block);
     }
+    tally_disk(tallies_, block, 1);
+    if (!disks.empty() || on_hdfs) {
+      if (was_pf) index_prefetchable(o);
+      continue;  // a durable copy survives (or was re-materialized)
+    }
+    // No copy anywhere: only lineage recomputation can bring it back.
+    // The memory-drop pass above already moved the block to Evicted if
+    // this executor held the last memory copy, so the edge here is
+    // Disk → Lost or Evicted → Lost.
+    set_residency(block, BlockResidency::Lost);
+    prefetchable_[o] = 0;  // already unindexed above (if flagged)
+    result.lost.push_back(block);
   }
   return result;
 }
@@ -527,19 +606,20 @@ BlockManagerMaster::rereplicate_suspect_blocks(ExecutorId target) {
 
   const NodeId target_node = topo_->node_of(target);
   for (const std::size_t o : at_risk) {
+    const BlockId block = dag_->block_at(static_cast<std::int64_t>(o));
     produced_by_[o].push_back(target);
     auto& disks = produced_disk_[o];
     if (std::find(disks.begin(), disks.end(), target_node) == disks.end()) {
       const bool was_pf = prefetchable_[o] != 0;
       if (was_pf) unindex_prefetchable(o);
+      tally_disk(tallies_, block, -1);
       disks.push_back(target_node);
+      tally_disk(tallies_, block, 1);
       if (was_pf) index_prefetchable(o);
     }
     disk_union_valid_[o] = 0;
     ++result.blocks;
-    result.bytes +=
-        std::max(block_bytes(dag_->block_at(static_cast<std::int64_t>(o))),
-                 Bytes{0});
+    result.bytes += std::max(block_bytes(block), Bytes{0});
   }
   return result;
 }

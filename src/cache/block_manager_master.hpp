@@ -52,6 +52,29 @@ class BlockManagerMaster {
 
   [[nodiscard]] bool exists(const BlockId& block) const;
 
+  /// How a read of every partition of `rdd` by `reader` splits over the
+  /// disk source classes. Given only when that read provably leaves
+  /// cache state untouched: no partition has a memory copy anywhere, so
+  /// each one's best source is its nearest disk copy, and a disk read
+  /// cannot admit it (the RDD is not cacheable or caching is off), so
+  /// on_block_read would be a no-op. nullopt otherwise: the caller must
+  /// lookup() block by block. O(1), from the per-RDD tallies; throws
+  /// InvariantError, as lookup() does, if some partition exists nowhere.
+  struct DiskReadCounts {
+    std::int32_t local = 0;   ///< BlockSource::LocalDisk
+    std::int32_t rack = 0;    ///< BlockSource::RackDisk
+    std::int32_t remote = 0;  ///< BlockSource::RemoteDisk
+  };
+  [[nodiscard]] std::optional<DiskReadCounts> disk_only_read(
+      RddId rdd, ExecutorId reader) const;
+
+  /// Does every partition of `rdd` have a durable disk copy? (Then every
+  /// partition exists; false says nothing about any one partition.)
+  [[nodiscard]] bool all_partitions_on_disk(RddId rdd) const {
+    return tallies_.on_disk[static_cast<std::size_t>(rdd.value())] ==
+           dag_->rdd(rdd).num_partitions;
+  }
+
   /// A task on `exec` finished producing `block`: record the durable
   /// disk copy and (for cacheable RDDs) try to admit it to memory.
   void on_block_produced(const BlockId& block, ExecutorId exec, SimTime now);
@@ -189,8 +212,9 @@ class BlockManagerMaster {
 
   /// Checks every tracked block's residency against the copy maps
   /// (Memory ⟺ a memory holder exists, Disk/Evicted ⟹ durable copy
-  /// only, Lost/Absent ⟹ no copy anywhere). Throws InvariantError on
-  /// divergence; the driver runs this at quiescence.
+  /// only, Lost/Absent ⟹ no copy anywhere), and the per-RDD tallies
+  /// against a recount. Throws InvariantError on divergence; the driver
+  /// runs this at quiescence.
   void verify_residency() const;
 
   /// Release-build sink for illegal residency transitions (folded into
@@ -220,6 +244,35 @@ class BlockManagerMaster {
   void unindex_prefetchable(std::size_t o);
   void add_prefetchable(std::size_t o);
   void remove_prefetchable(std::size_t o);
+
+  // -- per-RDD copy tallies -----------------------------------------------
+  // What disk_only_read() answers from. A partition counts once per node
+  // and once per rack holding a durable disk copy (HDFS replica or
+  // produced copy), so for a reader on node n in rack r, with no memory
+  // copies, LocalDisk = on_node[n], RackDisk = in_rack[r] - on_node[n]
+  // and RemoteDisk = M - in_rack[r] — exactly lookup()'s per-block pick.
+  // Invariant: tallies_ == count_tallies(). Every mutation of a block's
+  // disk-node set is bracketed by tally_disk(-1) / tally_disk(+1):
+  // construction from HdfsPlacement, on_block_produced on a new node,
+  // drop_executor and rereplicate_suspect_blocks. apply_insert and
+  // note_evicted count a block's first and last memory copy.
+  struct Tallies {
+    Tallies() = default;
+    Tallies(std::size_t rdds, std::size_t nodes, std::size_t racks)
+        : on_node(rdds * nodes),
+          in_rack(rdds * racks),
+          on_disk(rdds),
+          in_memory(rdds) {}
+    std::vector<std::int32_t> on_node;    ///< [rdd * num_nodes + node]
+    std::vector<std::int32_t> in_rack;    ///< [rdd * num_racks + rack]
+    std::vector<std::int32_t> on_disk;    ///< [rdd]: ≥1 disk copy
+    std::vector<std::int32_t> in_memory;  ///< [rdd]: ≥1 memory copy
+    bool operator==(const Tallies&) const = default;
+  };
+  /// Adds (delta = 1) or removes (-1) `block`'s current disk copies.
+  void tally_disk(Tallies& t, const BlockId& block, std::int32_t delta) const;
+  /// The tallies recounted from the copy sets.
+  [[nodiscard]] Tallies count_tallies() const;
 
   const Topology* topo_;
   const JobDag* dag_;
@@ -253,6 +306,7 @@ class BlockManagerMaster {
   /// blocks on HDFS, Absent otherwise; written only by set_residency().
   std::vector<fsm::State<BlockResidency>> residency_;
   fsm::Violations* fsm_violations_ = nullptr;
+  Tallies tallies_;
   Counters counters_;
 };
 

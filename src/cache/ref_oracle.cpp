@@ -11,51 +11,57 @@ ReferenceOracle::ReferenceOracle(const JobDag& dag) : dag_(&dag) {
   finished_.assign(dag.num_stages(), false);
   active_.assign(dag.num_stages(), 1);
   pv_ = initial_priority_values(dag);
-  refs_.resize(static_cast<std::size_t>(dag.num_blocks()));
+  narrow_refs_.resize(static_cast<std::size_t>(dag.num_blocks()));
+  shuffle_refs_.resize(dag.rdds().size());
+  // Stages ascend, and each reads an RDD through at most one edge, so
+  // every record list comes out sorted by stage with no duplicates.
   for (const Stage& s : dag.stages()) {
     for (const RddRef& ref : s.inputs) {
-      const Rdd& parent = dag.rdd(ref.rdd);
       if (ref.kind == DepKind::Narrow) {
         // Block k is read by exactly task k.
         for (std::int32_t t = 0; t < s.num_tasks; ++t) {
-          refs_of(BlockId{ref.rdd, t}).push_back(Ref{s.id, 1});
+          narrow_refs_[static_cast<std::size_t>(
+                           dag.block_ord(BlockId{ref.rdd, t}))]
+              .push_back(Ref{s.id, 1});
         }
       } else {
         // Every task pulls a slice of every parent block.
-        for (std::int32_t p = 0; p < parent.num_partitions; ++p) {
-          refs_of(BlockId{ref.rdd, p}).push_back(Ref{s.id, s.num_tasks});
-        }
+        shuffle_refs_[static_cast<std::size_t>(ref.rdd.value())].push_back(
+            Ref{s.id, s.num_tasks});
       }
     }
   }
-  for (std::vector<Ref>& refs : refs_) {
-    if (refs.empty()) continue;
-    std::sort(refs.begin(), refs.end(),
-              [](const Ref& a, const Ref& b) { return a.stage < b.stage; });
-    // Merge duplicate (block, stage) records (a stage may reference one
-    // RDD through several edges; keep the max remaining count).
-    std::vector<Ref> merged;
-    for (const Ref& r : refs) {
-      if (!merged.empty() && merged.back().stage == r.stage) {
-        merged.back().remaining = std::max(merged.back().remaining,
-                                           r.remaining);
-      } else {
-        merged.push_back(r);
-      }
-    }
-    refs = std::move(merged);
+}
+
+ReferenceOracle::Ref& ReferenceOracle::edge_ref(StageId stage,
+                                                const InputRead& read,
+                                                std::int32_t task) {
+  std::vector<Ref>& refs =
+      read.kind == DepKind::Narrow
+          ? narrow_refs_[static_cast<std::size_t>(
+                dag_->block_ord(BlockId{read.rdd, task}))]
+          : shuffle_refs_[static_cast<std::size_t>(read.rdd.value())];
+  const auto it = std::find_if(refs.begin(), refs.end(),
+                               [&](const Ref& r) { return r.stage == stage; });
+  DAGON_CHECK(it != refs.end());
+  return *it;
+}
+
+template <typename Fn>
+void ReferenceOracle::for_each_live(const BlockId& block, Fn&& fn) const {
+  for (const Ref& r : narrow_refs(block)) {
+    if (live(r)) fn(r.stage);
+  }
+  for (const Ref& r : shuffle_refs(block.rdd)) {
+    if (live(r)) fn(r.stage);
   }
 }
 
 void ReferenceOracle::on_task_launched(StageId stage, std::int32_t task) {
   ++epoch_;
-  for (const TaskInput& in : dag_->task_inputs(stage, task)) {
-    for (Ref& r : refs_of(in.block)) {
-      if (r.stage == stage && r.remaining > 0) {
-        --r.remaining;
-        break;
-      }
-    }
+  for (const InputRead& read : dag_->input_reads(stage)) {
+    Ref& r = edge_ref(stage, read, task);
+    if (r.remaining > 0) --r.remaining;
   }
 }
 
@@ -71,13 +77,8 @@ void ReferenceOracle::restore_task_refs(StageId stage, std::int32_t task) {
               static_cast<std::size_t>(stage.value()) < finished_.size());
   ++epoch_;
   finished_[static_cast<std::size_t>(stage.value())] = false;
-  for (const TaskInput& in : dag_->task_inputs(stage, task)) {
-    for (Ref& r : refs_of(in.block)) {
-      if (r.stage == stage) {
-        ++r.remaining;
-        break;
-      }
-    }
+  for (const InputRead& read : dag_->input_reads(stage)) {
+    ++edge_ref(stage, read, task).remaining;
   }
 }
 
@@ -167,15 +168,11 @@ int ReferenceOracle::effective_ref_count(const BlockId& block) const {
   // to each of its groups; the question LERC asks is whether caching it
   // would *complete* the group.
   const std::int32_t self_missing = in_memory_[o] == 0 ? 1 : 0;
-  const auto& readers =
-      narrow_readers_[static_cast<std::size_t>(block.rdd.value())];
   int count = 0;
-  for (const Ref& r : refs_[o]) {
+  // Only narrow readers carry a per-task peer group; every live narrow
+  // record of a cacheable block belongs to one of them.
+  for (const Ref& r : narrow_refs_[o]) {
     if (!live(r)) continue;
-    if (std::find(readers.begin(), readers.end(), r.stage) ==
-        readers.end()) {
-      continue;  // shuffle-only reader: no per-task peer group
-    }
     if (task_missing_[group_ord(r.stage, block.partition)] - self_missing ==
         0) {
       ++count;
@@ -186,39 +183,40 @@ int ReferenceOracle::effective_ref_count(const BlockId& block) const {
 
 int ReferenceOracle::remaining_ref_count(const BlockId& block) const {
   int count = 0;
-  for (const Ref& r : refs_of(block)) {
-    if (live(r)) ++count;
-  }
+  for_each_live(block, [&](StageId) { ++count; });
   return count;
 }
 
 int ReferenceOracle::stage_distance(const BlockId& block) const {
   int best = kNeverUsed;
-  for (const Ref& r : refs_of(block)) {
-    if (!live(r)) continue;
+  for_each_live(block, [&](StageId stage) {
     // MRD measures distance in stage-id (FIFO) order; a stage at or
     // before the current one is about to run: distance 0.
-    const int d = std::max(0, r.stage.value() - current_stage_ord_);
-    best = std::min(best, d);
-  }
+    best = std::min(best, std::max(0, stage.value() - current_stage_ord_));
+  });
   return best;
 }
 
 CpuWork ReferenceOracle::reference_priority(const BlockId& block) const {
   CpuWork best{};
-  for (const Ref& r : refs_of(block)) {
-    if (!live(r)) continue;
-    best = std::max(best, pv_[static_cast<std::size_t>(r.stage.value())]);
-  }
+  for_each_live(block, [&](StageId stage) {
+    best = std::max(best, pv_[static_cast<std::size_t>(stage.value())]);
+  });
   return best;
 }
 
 std::vector<StageId> ReferenceOracle::live_readers(
     const BlockId& block) const {
   std::vector<StageId> out;
-  for (const Ref& r : refs_of(block)) {
+  for (const Ref& r : narrow_refs(block)) {
     if (live(r)) out.push_back(r.stage);
   }
+  const auto narrow = static_cast<std::ptrdiff_t>(out.size());
+  for (const Ref& r : shuffle_refs(block.rdd)) {
+    if (live(r)) out.push_back(r.stage);
+  }
+  // Two ascending runs over disjoint stages: merge into one.
+  std::inplace_merge(out.begin(), out.begin() + narrow, out.end());
   return out;
 }
 

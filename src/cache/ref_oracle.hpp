@@ -14,7 +14,14 @@
 // reading tasks launch: once every task of stage s that reads block b
 // has started, s no longer holds a reference on b — this is what lets
 // MRD/LRP discard data the moment its last reader has picked it up
-// (Fig. 6's per-stage reference deletion).
+// (Fig. 6's per-stage reference deletion). A narrow edge is one record
+// per block (block k, read by task k alone). A shuffle edge is one
+// counter per (stage, parent RDD): every task reads every parent block,
+// so the M per-block records would always hold the same count — LRC
+// (arXiv:1703.08280) and LERC count references at this granularity too.
+// Queries on a block combine its narrow records with its RDD's shuffle
+// counters; JobDagBuilder guarantees a stage reads an RDD through at
+// most one edge, so the two never name the same stage.
 //
 // Online serving extends the same structure across jobs. The merged
 // serving DAG contains every job's stages, so one oracle aggregates
@@ -142,21 +149,33 @@ class ReferenceOracle {
     std::int32_t remaining = 0;
   };
 
-  [[nodiscard]] const std::vector<Ref>& refs_of(const BlockId& block) const {
-    return refs_[static_cast<std::size_t>(dag_->block_ord(block))];
+  [[nodiscard]] const std::vector<Ref>& narrow_refs(
+      const BlockId& block) const {
+    return narrow_refs_[static_cast<std::size_t>(dag_->block_ord(block))];
   }
-  [[nodiscard]] std::vector<Ref>& refs_of(const BlockId& block) {
-    return refs_[static_cast<std::size_t>(dag_->block_ord(block))];
+  [[nodiscard]] const std::vector<Ref>& shuffle_refs(RddId rdd) const {
+    return shuffle_refs_[static_cast<std::size_t>(rdd.value())];
   }
+  /// The record task `task` of `stage` consumes through edge `read`.
+  [[nodiscard]] Ref& edge_ref(StageId stage, const InputRead& read,
+                              std::int32_t task);
   [[nodiscard]] bool live(const Ref& ref) const {
     return ref.remaining > 0 && !stage_finished(ref.stage) &&
            active_[static_cast<std::size_t>(ref.stage.value())] != 0;
   }
+  /// Calls fn(stage) for every live reference on `block`: its narrow
+  /// records, then its RDD's shuffle counters (each ascending by stage).
+  template <typename Fn>
+  void for_each_live(const BlockId& block, Fn&& fn) const;
 
   const JobDag* dag_;
-  /// Per-stage reference records (ascending stage id), indexed by dense
-  /// block ordinal (JobDag::block_ord); empty for unreferenced blocks.
-  std::vector<std::vector<Ref>> refs_;
+  /// Narrow-edge reference records (ascending stage id), indexed by
+  /// dense block ordinal (JobDag::block_ord); empty for blocks no stage
+  /// reads narrowly.
+  std::vector<std::vector<Ref>> narrow_refs_;
+  /// Shuffle-edge reference counters (ascending stage id), indexed by
+  /// parent RDD id: one record stands for every block of the RDD.
+  std::vector<std::vector<Ref>> shuffle_refs_;
   std::vector<bool> finished_;
   /// 0 = the stage's job has not arrived; its references are inactive.
   std::vector<char> active_;

@@ -59,28 +59,23 @@ const std::vector<StageId>& JobDag::successor_set(StageId id) const {
   return successor_sets_[static_cast<std::size_t>(id.value())];
 }
 
+const std::vector<InputRead>& JobDag::input_reads(StageId id) const {
+  DAGON_CHECK_MSG(id.valid() && static_cast<std::size_t>(id.value()) <
+                                    input_reads_.size(),
+                  "unknown stage " << id);
+  return input_reads_[static_cast<std::size_t>(id.value())];
+}
+
 std::vector<TaskInput> JobDag::task_inputs(StageId id,
                                            std::int32_t task) const {
   const Stage& s = stage(id);
   DAGON_CHECK_MSG(task >= 0 && task < s.num_tasks,
                   "task " << task << " out of range for stage " << id);
   std::vector<TaskInput> inputs;
-  for (const RddRef& ref : s.inputs) {
-    const Rdd& parent = rdd(ref.rdd);
-    // Zero-byte RDDs (pure control dependencies) carry no data to read.
-    if (parent.bytes_per_partition <= Bytes{0}) continue;
-    if (ref.kind == DepKind::Narrow) {
-      inputs.push_back(TaskInput{BlockId{ref.rdd, task},
-                                 parent.bytes_per_partition,
-                                 DepKind::Narrow});
-    } else {
-      // Shuffle: every task pulls a slice of every parent block.
-      const Bytes slice = std::max(
-          Bytes{1}, parent.bytes_per_partition / std::max(1, s.num_tasks));
-      for (std::int32_t p = 0; p < parent.num_partitions; ++p) {
-        inputs.push_back(TaskInput{BlockId{ref.rdd, p}, slice,
-                                   DepKind::Shuffle});
-      }
+  for (const InputRead& r : input_reads(id)) {
+    for (std::int32_t i = 0; i < r.count; ++i) {
+      inputs.push_back(
+          TaskInput{BlockId{r.rdd, r.first(task) + i}, r.bytes, r.kind});
     }
   }
   return inputs;
@@ -107,8 +102,11 @@ std::vector<BlockId> JobDag::stage_input_blocks(StageId id) const {
 }
 
 Bytes JobDag::task_input_bytes(StageId id, std::int32_t task) const {
+  const Stage& s = stage(id);
+  DAGON_CHECK_MSG(task >= 0 && task < s.num_tasks,
+                  "task " << task << " out of range for stage " << id);
   Bytes total{};
-  for (const TaskInput& in : task_inputs(id, task)) total += in.bytes;
+  for (const InputRead& r : input_reads(id)) total += r.total();
   return total;
 }
 
@@ -184,12 +182,19 @@ StageId JobDagBuilder::add_stage(const StageParams& params) {
     throw ConfigError("stage '" + params.name +
                       "': duration_skew size != num_tasks");
   }
-  for (const RddRef& ref : params.inputs) {
+  for (std::size_t i = 0; i < params.inputs.size(); ++i) {
+    const RddRef& ref = params.inputs[i];
     if (!ref.rdd.valid() ||
         static_cast<std::size_t>(ref.rdd.value()) >= dag_.rdds_.size()) {
       throw ConfigError("stage '" + params.name + "' reads unknown RDD");
     }
     const Rdd& parent = dag_.rdds_[static_cast<std::size_t>(ref.rdd.value())];
+    for (std::size_t j = 0; j < i; ++j) {
+      if (params.inputs[j].rdd == ref.rdd) {
+        throw ConfigError("stage '" + params.name + "' reads '" +
+                          parent.name + "' through more than one edge");
+      }
+    }
     if (ref.kind == DepKind::Narrow &&
         parent.num_partitions != params.num_tasks) {
       throw ConfigError("stage '" + params.name + "': narrow dep on '" +
@@ -303,6 +308,27 @@ JobDag JobDagBuilder::build() {
     acc.erase(std::unique(acc.begin(), acc.end()), acc.end());
     dag_.successor_sets_[static_cast<std::size_t>(s.id.value())].assign(
         acc.begin(), acc.end());
+  }
+
+  // Per-stage read descriptors. Every task pulls the same slice of
+  // every shuffle-parent block: bytes / tasks, at least one byte.
+  dag_.input_reads_.resize(dag_.stages_.size());
+  for (const Stage& s : dag_.stages_) {
+    auto& reads = dag_.input_reads_[static_cast<std::size_t>(s.id.value())];
+    for (const RddRef& ref : s.inputs) {
+      const Rdd& parent = dag_.rdd(ref.rdd);
+      if (parent.bytes_per_partition <= Bytes{0}) continue;
+      if (ref.kind == DepKind::Narrow) {
+        reads.push_back(InputRead{ref.rdd, DepKind::Narrow,
+                                  parent.bytes_per_partition, 1});
+      } else {
+        reads.push_back(InputRead{
+            ref.rdd, DepKind::Shuffle,
+            std::max(Bytes{1},
+                     parent.bytes_per_partition / std::max(1, s.num_tasks)),
+            parent.num_partitions});
+      }
+    }
   }
 
   // Dense block ordinals: prefix sums of partition counts in rdd-id

@@ -44,8 +44,14 @@ class JobDag {
   /// All transitive descendants of `id` (the paper's SuccessorSet_i).
   [[nodiscard]] const std::vector<StageId>& successor_set(StageId id) const;
 
-  /// Input reads of task `task` of stage `id`: full parent blocks for
-  /// narrow deps, per-task shuffle slices for wide deps.
+  /// The data-carrying input edges of stage `id`, in edge order; zero-byte
+  /// parents (pure control dependencies) read nothing and are omitted.
+  /// Non-allocating: hot paths walk these instead of task_inputs().
+  [[nodiscard]] const std::vector<InputRead>& input_reads(StageId id) const;
+
+  /// Input reads of task `task` of stage `id`, one per block: the
+  /// input_reads() edges expanded (full parent blocks for narrow deps,
+  /// per-task shuffle slices for wide deps).
   [[nodiscard]] std::vector<TaskInput> task_inputs(StageId id,
                                                    std::int32_t task) const;
 
@@ -95,6 +101,8 @@ class JobDag {
   std::vector<StageId> topo_order_;
   /// successor_sets_[i] = transitive descendants of stage i.
   std::vector<std::vector<StageId>> successor_sets_;
+  /// input_reads_[i] = stage i's data-carrying input edges.
+  std::vector<std::vector<InputRead>> input_reads_;
   /// block_offset_[r] = ordinal of rdd r's partition 0; one trailing
   /// entry holds num_blocks(). Built by JobDagBuilder::build().
   std::vector<std::int64_t> block_offset_;
@@ -129,6 +137,9 @@ class JobDagBuilder {
   };
 
   /// Adds a stage and its implicit output RDD; returns the stage id.
+  /// Throws ConfigError on invalid fields or inputs, including a stage
+  /// that reads one RDD through more than one edge (reference counts
+  /// are kept per (stage, RDD) edge).
   StageId add_stage(const StageParams& params);
 
   /// Output RDD of a previously added stage (for wiring descendants).

@@ -54,13 +54,9 @@ struct JobProfile {
     StageEstimate e;
     e.task_duration = s.task_duration;
     e.task_cpus = s.task_cpus;
-    if (s.num_tasks > 0) {
-      for (const TaskInput& in : dag.task_inputs(s.id, 0)) {
-        e.task_input_bytes += in.bytes;
-        if (!dag.rdd(in.block.rdd).is_input) {
-          e.task_serde_bytes += in.bytes;
-        }
-      }
+    for (const InputRead& r : dag.input_reads(s.id)) {
+      e.task_input_bytes += r.total();
+      if (!dag.rdd(r.rdd).is_input) e.task_serde_bytes += r.total();
     }
     p.stages.push_back(e);
   }

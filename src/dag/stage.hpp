@@ -62,4 +62,25 @@ struct TaskInput {
   DepKind kind = DepKind::Narrow;
 };
 
+/// One data-carrying input edge of a stage, in the shape every task
+/// reads it: task t reads partitions [first(t), first(t) + count) of
+/// `rdd`, `bytes` from each. A narrow edge is the single block t; a
+/// shuffle edge is every parent partition at the same slice size, so a
+/// consumer that only needs per-source totals can cost it per edge
+/// instead of per block.
+struct InputRead {
+  RddId rdd;
+  DepKind kind = DepKind::Narrow;
+  /// Bytes pulled from each block read (whole block or shuffle slice).
+  Bytes bytes{};
+  /// Blocks read per task: 1 (narrow) or the parent's partition count.
+  std::int32_t count = 0;
+
+  [[nodiscard]] std::int32_t first(std::int32_t task) const {
+    return kind == DepKind::Narrow ? task : 0;
+  }
+  /// Bytes one task reads through this edge.
+  [[nodiscard]] Bytes total() const { return bytes * count; }
+};
+
 }  // namespace dagon

@@ -449,41 +449,66 @@ void SimDriver::launch_task(StageId s, const Assignment& a, SimTime now,
   // read or recompute breaks the peer group's effectiveness.
   bool any_cacheable_narrow = false;
   bool all_inputs_memory = true;
-  for (const TaskInput& in : dag_->task_inputs(s, a.task_index)) {
-    const auto lookup = master_.lookup(in.block, a.exec);
-    const Rdd& rdd = dag_->rdd(in.block.rdd);
-    bytes_by_source[static_cast<std::size_t>(lookup.source)] += in.bytes;
-    if (gray_active_) {
-      const NodeId src_node = is_memory_source(lookup.source)
-                                  ? topo_.node_of(lookup.holder)
-                                  : lookup.disk_node;
-      const SimTime heal = fault_plan_->cross_partition_heal(
-          rack_of_exec(a.exec), topo_.rack_of(src_node), now);
-      if (heal > now) {
-        partition_stall = std::max(partition_stall, heal - now);
+  for (const InputRead& read : dag_->input_reads(s)) {
+    const Rdd& rdd = dag_->rdd(read.rdd);
+    // A shuffle read that provably touches no cache state (no memory
+    // copy to pick, no admission on a disk read) only needs per-source
+    // block counts, which the master keeps per RDD: O(1) per parent.
+    // Gray partitions stall per source node, so gray runs go per block.
+    if (read.kind == DepKind::Shuffle) {
+      const auto counts =
+          gray_active_ ? std::nullopt
+                       : master_.disk_only_read(read.rdd, a.exec);
+      if (probe_.shuffle_read) {
+        probe_.shuffle_read(s, a.task_index, a.exec, read, counts);
+      }
+      if (counts) {
+        bytes_by_source[static_cast<std::size_t>(BlockSource::LocalDisk)] +=
+            read.bytes * counts->local;
+        bytes_by_source[static_cast<std::size_t>(BlockSource::RackDisk)] +=
+            read.bytes * counts->rack;
+        bytes_by_source[static_cast<std::size_t>(BlockSource::RemoteDisk)] +=
+            read.bytes * counts->remote;
+        if (!rdd.is_input) serde_bytes += read.total();
+        continue;
       }
     }
-    // Raw HDFS input pays no deserialization; RDD data does, on every
-    // source except the reader's own memory store.
-    if (!rdd.is_input && lookup.source != BlockSource::LocalMemory) {
-      serde_bytes += in.bytes;
-    }
-    // Cache statistics cover persisted-RDD block *gets* only (narrow
-    // reads of cacheable RDDs), matching Spark's BlockManager
-    // accounting: shuffle fetches and unpersisted inputs never count.
-    if (rdd.cacheable && in.kind == DepKind::Narrow) {
-      ++metrics_.cache.total_reads;
-      any_cacheable_narrow = true;
-      if (lookup.source == BlockSource::LocalMemory) {
-        ++metrics_.cache.local_memory_hits;
-      } else if (is_memory_source(lookup.source)) {
-        ++metrics_.cache.other_memory_hits;
-      } else {
-        ++metrics_.cache.disk_reads;
-        all_inputs_memory = false;
+    for (std::int32_t i = 0; i < read.count; ++i) {
+      const BlockId block{read.rdd, read.first(a.task_index) + i};
+      const auto lookup = master_.lookup(block, a.exec);
+      bytes_by_source[static_cast<std::size_t>(lookup.source)] += read.bytes;
+      if (gray_active_) {
+        const NodeId src_node = is_memory_source(lookup.source)
+                                    ? topo_.node_of(lookup.holder)
+                                    : lookup.disk_node;
+        const SimTime heal = fault_plan_->cross_partition_heal(
+            rack_of_exec(a.exec), topo_.rack_of(src_node), now);
+        if (heal > now) {
+          partition_stall = std::max(partition_stall, heal - now);
+        }
       }
+      // Raw HDFS input pays no deserialization; RDD data does, on every
+      // source except the reader's own memory store.
+      if (!rdd.is_input && lookup.source != BlockSource::LocalMemory) {
+        serde_bytes += read.bytes;
+      }
+      // Cache statistics cover persisted-RDD block *gets* only (narrow
+      // reads of cacheable RDDs), matching Spark's BlockManager
+      // accounting: shuffle fetches and unpersisted inputs never count.
+      if (rdd.cacheable && read.kind == DepKind::Narrow) {
+        ++metrics_.cache.total_reads;
+        any_cacheable_narrow = true;
+        if (lookup.source == BlockSource::LocalMemory) {
+          ++metrics_.cache.local_memory_hits;
+        } else if (is_memory_source(lookup.source)) {
+          ++metrics_.cache.other_memory_hits;
+        } else {
+          ++metrics_.cache.disk_reads;
+          all_inputs_memory = false;
+        }
+      }
+      master_.on_block_read(block, a.exec, lookup, now);
     }
-    master_.on_block_read(in.block, a.exec, lookup, now);
   }
   if (any_cacheable_narrow) {
     ++metrics_.cache.effective_task_reads;
@@ -564,6 +589,7 @@ void SimDriver::launch_task(StageId s, const Assignment& a, SimTime now,
     delay_->on_launch(state_, master_, s, a.locality, now);
     oracle_.on_task_launched(s, a.task_index);
     oracle_.set_current_stage(s);
+    if (probe_.refs_changed) probe_.refs_changed(s, a.task_index, false);
     push_priority_update();
   }
 
@@ -1067,6 +1093,7 @@ void SimDriver::handle_task_retry(StageId s, std::int32_t index,
   // The failed launch consumed this task's block references; make them
   // live again so cache policies keep the inputs warm for the re-run.
   oracle_.restore_task_refs(s, index);
+  if (probe_.refs_changed) probe_.refs_changed(s, index, true);
   state_.readd_pending(s, index);
   state_.demote_unready();
   push_priority_update();
@@ -1105,8 +1132,12 @@ void SimDriver::handle_fault_tick(SimTime now) {
 
 void SimDriver::ensure_inputs_available(StageId s, std::int32_t index,
                                         SimTime now) {
-  for (const TaskInput& in : dag_->task_inputs(s, index)) {
-    if (!master_.exists(in.block)) recover_block(in.block, now);
+  for (const InputRead& read : dag_->input_reads(s)) {
+    if (master_.all_partitions_on_disk(read.rdd)) continue;
+    for (std::int32_t i = 0; i < read.count; ++i) {
+      const BlockId block{read.rdd, read.first(index) + i};
+      if (!master_.exists(block)) recover_block(block, now);
+    }
   }
 }
 
@@ -1129,6 +1160,7 @@ void SimDriver::recover_block(const BlockId& block, SimTime now) {
   const bool was_finished = state_.stage(s).finished;
   state_.reopen_task(s, p);
   oracle_.restore_task_refs(s, p);
+  if (probe_.refs_changed) probe_.refs_changed(s, p, true);
   // A re-opened stage un-finishes its job: completion will be detected
   // (and a fresh JobFinish emitted) when the recompute lands.
   if (serving_ && was_finished) {
@@ -1154,8 +1186,13 @@ bool SimDriver::has_live_attempt(StageId s, std::int32_t index) const {
 }
 
 bool SimDriver::inputs_exist(StageId s, std::int32_t index) const {
-  for (const TaskInput& in : dag_->task_inputs(s, index)) {
-    if (!master_.exists(in.block)) return false;
+  for (const InputRead& read : dag_->input_reads(s)) {
+    if (master_.all_partitions_on_disk(read.rdd)) continue;
+    for (std::int32_t i = 0; i < read.count; ++i) {
+      if (!master_.exists(BlockId{read.rdd, read.first(index) + i})) {
+        return false;
+      }
+    }
   }
   return true;
 }

@@ -8,6 +8,7 @@
 // collected metrics. Runs are deterministic for a fixed SimConfig::seed.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -28,6 +29,24 @@ class SimDriver {
 
   /// Runs the job to completion; callable once.
   [[nodiscard]] RunMetrics run();
+
+  /// Observation hooks for tests and diagnostics. Both are unset by
+  /// default; an unset hook costs one branch where it would fire.
+  struct Probe {
+    /// Fires for every shuffle edge a launch reads, just before the
+    /// edge is costed: `counts` is the tally answer the launch uses, or
+    /// nullopt when the edge is read block by block.
+    std::function<void(
+        StageId, std::int32_t task, ExecutorId, const InputRead&,
+        const std::optional<BlockManagerMaster::DiskReadCounts>& counts)>
+        shuffle_read;
+    /// Fires after the oracle consumed (a non-speculative launch, once
+    /// the launching stage is the oracle's current stage) or restored (a
+    /// retry or a lineage recompute) the references of task `task`.
+    std::function<void(StageId, std::int32_t task, bool restored)>
+        refs_changed;
+  };
+  void set_probe(Probe probe) { probe_ = std::move(probe); }
 
   // Accessors for tests and diagnostics.
   [[nodiscard]] const Topology& topology() const { return topo_; }
@@ -221,6 +240,7 @@ class SimDriver {
   std::vector<std::int32_t> job_order_;
 
   RunMetrics metrics_;
+  Probe probe_;
   /// Last JobState::pv_epoch pushed into the oracle (0 = never).
   std::uint64_t pushed_pv_epoch_ = 0;
   bool ran_ = false;

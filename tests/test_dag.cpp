@@ -118,6 +118,28 @@ TEST(JobDagBuilder, RejectsUnknownRdd) {
                ConfigError);
 }
 
+TEST(JobDagBuilder, RejectsTwoEdgesToOneRdd) {
+  // References are counted per (stage, RDD) edge, so a stage reads each
+  // RDD through one edge at most: narrow + shuffle and shuffle twice are
+  // both rejected.
+  JobDagBuilder b("bad");
+  const RddId in = b.input_rdd("in", 2, kMiB);
+  const auto stage_reading = [&](std::vector<RddRef> inputs) {
+    return JobDagBuilder::StageParams{.name = "s",
+                                      .inputs = std::move(inputs),
+                                      .num_tasks = 2,
+                                      .task_cpus = Cpus{1},
+                                      .task_duration = kSec};
+  };
+  EXPECT_THROW(b.add_stage(stage_reading(
+                   {{in, DepKind::Narrow}, {in, DepKind::Shuffle}})),
+               ConfigError);
+  EXPECT_THROW(b.add_stage(stage_reading(
+                   {{in, DepKind::Shuffle}, {in, DepKind::Shuffle}})),
+               ConfigError);
+  EXPECT_NO_THROW(b.add_stage(stage_reading({{in, DepKind::Shuffle}})));
+}
+
 TEST(JobDagBuilder, RejectsNonPositiveFields) {
   JobDagBuilder b("bad");
   const RddId in = b.input_rdd("in", 2, kMiB);
@@ -176,6 +198,42 @@ TEST(JobDag, TaskInputsShuffleSlicesAllParents) {
   for (const TaskInput& in : inputs) {
     EXPECT_EQ(in.bytes, kMiB / 2);  // block bytes / 2 tasks
   }
+}
+
+TEST(JobDag, InputReadsDescribeEachDataEdge) {
+  const JobDag dag = make_diamond();
+  // Stage a (id 0): narrow, task t reads block t whole.
+  const auto& narrow = dag.input_reads(StageId(0));
+  ASSERT_EQ(narrow.size(), 1u);
+  EXPECT_EQ(narrow[0].kind, DepKind::Narrow);
+  EXPECT_EQ(narrow[0].count, 1);
+  EXPECT_EQ(narrow[0].first(2), 2);
+  EXPECT_EQ(narrow[0].bytes, kMiB);
+  // Stage c (id 2): shuffle, every task reads all 4 partitions from 0.
+  const auto& wide = dag.input_reads(StageId(2));
+  ASSERT_EQ(wide.size(), 1u);
+  EXPECT_EQ(wide[0].kind, DepKind::Shuffle);
+  EXPECT_EQ(wide[0].count, 4);
+  EXPECT_EQ(wide[0].first(1), 0);
+  EXPECT_EQ(wide[0].bytes, kMiB / 2);
+  EXPECT_EQ(wide[0].total(), dag.task_input_bytes(StageId(2), 1));
+  // A zero-byte parent carries no data: no read, no TaskInput.
+  JobDagBuilder b("control");
+  const RddId in = b.input_rdd("in", 2, kMiB);
+  const StageId gate = b.add_stage({.name = "gate",
+                                    .inputs = {{in, DepKind::Narrow}},
+                                    .num_tasks = 2,
+                                    .task_cpus = Cpus{1},
+                                    .task_duration = kSec});
+  const StageId after = b.add_stage(
+      {.name = "after",
+       .inputs = {{b.output_of(gate), DepKind::Shuffle}},
+       .num_tasks = 3,
+       .task_cpus = Cpus{1},
+       .task_duration = kSec});
+  const JobDag control = b.build();
+  EXPECT_TRUE(control.input_reads(after).empty());
+  EXPECT_TRUE(control.task_inputs(after, 0).empty());
 }
 
 TEST(JobDag, StageInputBlocksDeduplicated) {

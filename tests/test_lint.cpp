@@ -92,6 +92,24 @@ TEST(Lint, NarrowingCastFixtureFiresWithExactLocation) {
   EXPECT_NE(r.output.find("1 finding(s)"), std::string::npos) << r.output;
 }
 
+TEST(Lint, NarrowingCastEvidenceIsScopedToItsFunction) {
+  // The `double x` of one function flags its own cast (line 12) and no
+  // cast of the integer `x` declared before or after it (lines 8, 17).
+  const LintResult r = run_lint(fixture("narrowing_cast_scoped.cpp"));
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find(finding("narrowing_cast_scoped.cpp", 12,
+                                  "narrowing-cast")),
+            std::string::npos)
+      << r.output;
+  for (const int line : {8, 17}) {
+    EXPECT_EQ(r.output.find(finding("narrowing_cast_scoped.cpp", line,
+                                    "narrowing-cast")),
+              std::string::npos)
+        << r.output;
+  }
+  EXPECT_NE(r.output.find("1 finding(s)"), std::string::npos) << r.output;
+}
+
 TEST(Lint, MagicUnitConstantFixtureFiresWithExactLocation) {
   const LintResult r = run_lint(fixture("magic_unit_constant.cpp"));
   EXPECT_EQ(r.exit_code, 1) << r.output;
@@ -353,7 +371,7 @@ TEST(Lint, WholeFixtureDirReportsEveryRuleOnce) {
         << "missing " << rule << " in:\n"
         << r.output;
   }
-  EXPECT_NE(r.output.find("16 finding(s)"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("17 finding(s)"), std::string::npos) << r.output;
 }
 
 TEST(Lint, ListRulesNamesEveryRule) {

@@ -572,9 +572,39 @@ std::size_t matching_close(const std::vector<Token>& toks, std::size_t open,
   return toks.size();
 }
 
-/// float/double variable + function names declared in `toks`.
-std::set<std::string> float_names(const std::vector<Token>& toks) {
-  std::set<std::string> names;
+/// Token ranges [from, to] in which a float/double name is visible.
+using FloatScopes =
+    std::map<std::string, std::vector<std::pair<std::size_t, std::size_t>>>;
+
+/// float/double variable + function names declared in `toks`, each
+/// scoped to the innermost brace body around its declaration — for a
+/// parameter (or a for/if header), the body after its parenthesis list —
+/// or to the whole file at top level. Evidence from one function must
+/// not poison an identically named integer in another.
+FloatScopes float_scopes(const std::vector<Token>& toks) {
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  // Innermost open '{' / '(' before each token, and each opener's closer.
+  std::vector<std::size_t> brace_of(toks.size(), kNone);
+  std::vector<std::size_t> paren_of(toks.size(), kNone);
+  std::vector<std::size_t> close_of(toks.size(), toks.size() - 1);
+  std::vector<std::size_t> braces;
+  std::vector<std::size_t> parens;
+  for (std::size_t i = 0; i < toks.size(); ++i) {
+    brace_of[i] = braces.empty() ? kNone : braces.back();
+    paren_of[i] = parens.empty() ? kNone : parens.back();
+    const std::string& t = toks[i].text;
+    if (t == "{") braces.push_back(i);
+    if (t == "(") parens.push_back(i);
+    if (t == "}" && !braces.empty()) {
+      close_of[braces.back()] = i;
+      braces.pop_back();
+    }
+    if (t == ")" && !parens.empty()) {
+      close_of[parens.back()] = i;
+      parens.pop_back();
+    }
+  }
+  FloatScopes scopes;
   for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
     if (toks[i].kind != TokKind::Identifier ||
         (toks[i].text != "float" && toks[i].text != "double")) {
@@ -589,11 +619,21 @@ std::set<std::string> float_names(const std::vector<Token>& toks) {
     while (j < toks.size() && (toks[j].text == "&" || toks[j].text == "*")) {
       ++j;
     }
-    if (j < toks.size() && toks[j].kind == TokKind::Identifier) {
-      names.insert(toks[j].text);
+    if (j >= toks.size() || toks[j].kind != TokKind::Identifier) continue;
+    std::pair<std::size_t, std::size_t> range{0, toks.size() - 1};
+    const std::size_t brace = brace_of[i];
+    const std::size_t paren = paren_of[i];
+    if (brace != kNone) range = {brace, close_of[brace]};
+    if (paren != kNone && (brace == kNone || paren > brace)) {
+      std::size_t k = close_of[paren] + 1;
+      while (k < toks.size() && toks[k].text != "{" && toks[k].text != ";") {
+        ++k;
+      }
+      if (k < toks.size() && toks[k].text == "{") range = {k, close_of[k]};
     }
+    scopes[toks[j].text].push_back(range);
   }
-  return names;
+  return scopes;
 }
 
 /// True when `name` carries a unit suffix: *_us, *_usec, *_bytes,
@@ -743,10 +783,18 @@ void check_narrowing_cast(const FileScan& scan,
       "int",      "long",     "short",    "char",     "unsigned",
       "int8_t",   "int16_t",  "int32_t",  "int64_t",  "uint8_t",
       "uint16_t", "uint32_t", "uint64_t", "size_t",   "ptrdiff_t"};
-  // Float-declared names are collected per file: evidence must be local
-  // (a `double` declared in an unrelated file must not poison casts of
-  // identically named integer variables elsewhere).
-  const std::set<std::string> floats = float_names(scan.tokens);
+  // Float-declared names are collected per file and per scope: evidence
+  // must be local (a `double x` in another file, or in another function
+  // of this one, must not poison a cast of an integer `x`).
+  const FloatScopes floats = float_scopes(scan.tokens);
+  const auto float_name_at = [&](const std::string& name, std::size_t at) {
+    const auto it = floats.find(name);
+    if (it == floats.end()) return false;
+    return std::any_of(it->second.begin(), it->second.end(),
+                       [&](const auto& r) {
+                         return r.first <= at && at <= r.second;
+                       });
+  };
   const auto& toks = scan.tokens;
   for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
     if (toks[i].kind != TokKind::Identifier ||
@@ -768,14 +816,14 @@ void check_narrowing_cast(const FileScan& scan,
     if (close + 1 >= toks.size() || toks[close + 1].text != "(") continue;
     const std::size_t pclose = matching_close(toks, close + 1, "(", ")");
     // The argument is floating when it mentions a float literal, a
-    // float/double-declared name from this file, or a nested widening
-    // cast to double.
+    // float/double-declared name in scope, or a nested widening cast to
+    // double.
     for (std::size_t j = close + 2; j < pclose && j < toks.size(); ++j) {
       const bool floating =
           (toks[j].kind == TokKind::Number && float_literal(toks[j].text)) ||
           (toks[j].kind == TokKind::Identifier &&
            (toks[j].text == "double" || toks[j].text == "float" ||
-            floats.count(toks[j].text) != 0));
+            float_name_at(toks[j].text, j)));
       if (floating) {
         report(out, scan, ok, toks[i].line, "narrowing-cast",
                "static_cast of a floating expression to an integer type; "
